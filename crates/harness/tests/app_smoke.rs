@@ -223,3 +223,49 @@ fn invalid_app_transport_combo_is_rejected() {
     let cfg = one_flow(AppProfile::bulk(), TransportSpec::scream(), 9);
     let _ = run(cfg);
 }
+
+#[test]
+#[should_panic(expected = "FecMedia transport is uplink-only")]
+fn fec_media_on_a_downlink_flow_is_rejected() {
+    let cfg = one_flow(
+        AppProfile::bulk(),
+        TransportSpec::fec_media(1.5e5, 5e5, 2.5e6, 60.0),
+        9,
+    );
+    let _ = run(cfg);
+}
+
+/// Two UEs on two cells with one flow from UE 0 bonded onto UE 1.
+fn bonded_flow(transport: TransportSpec, app: AppProfile, uplink: bool) -> ScenarioConfig {
+    let mut cfg = ScenarioConfig::new(9, Duration::from_secs(1));
+    let second = cfg.cell.clone();
+    cfg.add_cell(second);
+    cfg.ues.push(UeSpec::simple(ChannelProfile::Static, 24.0));
+    cfg.ues
+        .push(UeSpec::simple(ChannelProfile::Static, 24.0).on_cell(1));
+    let flow = if uplink { FlowSpec::uplink } else { FlowSpec::new };
+    cfg.flows
+        .push(flow(0, app, transport, WanLink::east(), Instant::ZERO).bonded(1));
+    cfg
+}
+
+#[test]
+#[should_panic(expected = "bonding is uplink-only")]
+fn bonding_a_downlink_flow_is_rejected() {
+    let cfg = bonded_flow(TransportSpec::tcp(CcKind::Cubic), AppProfile::bulk(), false);
+    let _ = run(cfg);
+}
+
+#[test]
+#[should_panic(expected = "bonding supports TCP and FEC-media endpoints only")]
+fn bonding_a_scream_flow_is_rejected() {
+    let video = AppProfile::video(25.0, 0.5e6, 2.0e6, 20.0e6);
+    let _ = run(bonded_flow(TransportSpec::scream(), video, true));
+}
+
+#[test]
+#[should_panic(expected = "bonding supports TCP and FEC-media endpoints only")]
+fn bonding_a_udp_prague_flow_is_rejected() {
+    let udp = TransportSpec::udp_prague(6.25e4, 2.5e5, 2.5e6);
+    let _ = run(bonded_flow(udp, AppProfile::bulk(), true));
+}

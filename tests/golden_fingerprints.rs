@@ -2,7 +2,10 @@
 //!
 //! `tests/golden_fingerprints.toml` pins a 64-bit digest of
 //! [`Report::fingerprint`] for every canonical scenario × every
-//! congestion controller the paper evaluates. The determinism matrix
+//! congestion controller the paper evaluates, plus a transport corpus
+//! covering every endpoint kind and data path (SCReAM and UDP Prague
+//! both ways, FEC media bonded and single-leg, NADA, the bonded TCP
+//! join, the impaired path). The determinism matrix
 //! (`tests/determinism.rs`) proves a run reproduces *within* a build;
 //! this corpus additionally distinguishes **intentional** fingerprint
 //! changes (new metrics, behaviour changes — re-bless and review the
@@ -24,8 +27,11 @@ use std::path::PathBuf;
 
 use l4span::core::HandoverPolicy;
 use l4span::cc::WanLink;
-use l4span::harness::{self, scenario, scenario::ChannelMix};
-use l4span::sim::Duration;
+use l4span::harness::app::AppProfile;
+use l4span::harness::scenario::{ChannelMix, FlowSpec, ScenarioConfig, TransportSpec};
+use l4span::harness::{self, scenario, ImpairmentSpec, UeSpec};
+use l4span::ran::ChannelProfile;
+use l4span::sim::{Duration, Instant};
 
 /// Every congestion controller in the paper's evaluation.
 const CCS: [&str; 5] = ["reno", "cubic", "prague", "bbr", "bbr2"];
@@ -83,11 +89,71 @@ fn corpus(cc: &str) -> Vec<(&'static str, scenario::ScenarioConfig)> {
     ]
 }
 
+/// One UE carrying a single non-TCP flow in `dir`: the SCReAM and UDP
+/// Prague endpoints on both the downlink and the uplink data paths.
+fn one_ue(transport: TransportSpec, uplink: bool) -> ScenarioConfig {
+    let mut cfg = ScenarioConfig::new(7, Duration::from_secs(2));
+    cfg.marker = scenario::l4span_default();
+    cfg.ues.push(UeSpec::simple(ChannelProfile::Pedestrian, 24.0));
+    let app = match transport {
+        TransportSpec::Scream => AppProfile::video(25.0, 0.5e6, 2.0e6, 20.0e6),
+        _ => AppProfile::bulk(),
+    };
+    let flow = if uplink { FlowSpec::uplink } else { FlowSpec::new };
+    cfg.flows
+        .push(flow(0, app, transport, WanLink::east(), Instant::from_millis(3)));
+    cfg
+}
+
+/// The transport corpus: every endpoint kind and data path the corpus
+/// above does not reach — SCReAM and UDP Prague in both directions,
+/// the FEC media endpoint bonded and single-leg, NADA over TCP, the
+/// bonded TCP join buffer, and the impaired path (incl. a classic-
+/// fallback transition).
+/// Entries are (section, key, config).
+fn transport_corpus() -> Vec<(&'static str, &'static str, ScenarioConfig)> {
+    let xr = |cc: &str, bonded: bool| {
+        scenario::xr_bonding_cell(
+            4,
+            cc,
+            scenario::l4span_default(),
+            bonded,
+            7,
+            Duration::from_secs(1),
+        )
+    };
+    let impaired = |cc: &str, bleach: f64| {
+        scenario::impaired_path_cell(
+            2,
+            cc,
+            ImpairmentSpec::bleaching(bleach).then_classic_hop(30e6),
+            scenario::l4span_default(),
+            7,
+            Duration::from_secs(1),
+        )
+    };
+    let udp_prague = || TransportSpec::udp_prague(6.25e4, 2.5e5, 2.5e6);
+    vec![
+        ("scream_1ue", "downlink", one_ue(TransportSpec::scream(), false)),
+        ("scream_1ue", "uplink", one_ue(TransportSpec::scream(), true)),
+        ("udp_prague_1ue", "downlink", one_ue(udp_prague(), false)),
+        ("udp_prague_1ue", "uplink", one_ue(udp_prague(), true)),
+        ("xr_bonding_cell_4", "fec-media-bonded", xr("fec-media", true)),
+        ("xr_bonding_cell_4", "fec-media", xr("fec-media", false)),
+        ("xr_bonding_cell_4", "nada", xr("nada", false)),
+        ("xr_bonding_cell_4", "cubic-bonded", xr("cubic", true)),
+        ("impaired_path_cell_2ue", "prague-fallback", impaired("prague-fallback", 0.25)),
+        ("impaired_path_cell_2ue", "cubic", impaired("cubic", 0.25)),
+        // Full bleaching trips Prague's classic fallback in both flows.
+        ("impaired_path_cell_2ue", "prague-fallback-bleached", impaired("prague-fallback", 1.0)),
+    ]
+}
+
 fn toml_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden_fingerprints.toml")
 }
 
-/// Compute every digest: scenario name → cc → digest. Runs the whole
+/// Compute every digest: scenario name → cc (or variant) → digest. Runs the whole
 /// grid through the parallel batch runner (fingerprints are invariant
 /// to worker count — that is its contract, asserted in determinism.rs).
 fn compute() -> BTreeMap<String, BTreeMap<String, String>> {
@@ -98,6 +164,10 @@ fn compute() -> BTreeMap<String, BTreeMap<String, String>> {
             keys.push((name.to_string(), cc.to_string()));
             cfgs.push(cfg);
         }
+    }
+    for (name, key, cfg) in transport_corpus() {
+        keys.push((name.to_string(), key.to_string()));
+        cfgs.push(cfg);
     }
     let reports = harness::run_batch(cfgs);
     let mut out: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
@@ -116,11 +186,15 @@ fn render(table: &BTreeMap<String, BTreeMap<String, String>>) -> String {
     );
     for (name, ccs) in table {
         let _ = write!(s, "\n[{name}]\n");
-        // Emit in the paper's CC order, not alphabetical.
+        // Emit in the paper's CC order, not alphabetical; other keys
+        // (transport-corpus variants) follow in key order.
         for cc in CCS {
             if let Some(d) = ccs.get(cc) {
                 let _ = writeln!(s, "{cc} = \"{d}\"");
             }
+        }
+        for (key, d) in ccs.iter().filter(|(k, _)| !CCS.contains(&k.as_str())) {
+            let _ = writeln!(s, "{key} = \"{d}\"");
         }
     }
     s
@@ -203,5 +277,9 @@ fn corpus_round_trips_through_the_parser() {
             .or_default()
             .insert(cc.to_string(), format!("{i:016x}"));
     }
+    table
+        .entry("scenario_x".into())
+        .or_default()
+        .insert("fec-media-bonded".into(), format!("{:016x}", 99));
     assert_eq!(parse(&render(&table)), table);
 }
