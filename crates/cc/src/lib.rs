@@ -20,11 +20,15 @@
 //!   frame-deadline abandonment, NADA-rated, bonding-aware;
 //! * [`tcp`] — the sender/receiver machinery: handshake, loss recovery,
 //!   classic-ECN echo (ECE/CWR) and AccECN byte counters;
+//! * [`transport`] — the [`Transport`] trait: one interface for a
+//!   flow's sender–receiver pair, implemented by TCP, SCReAM, UDP Prague
+//!   and the FEC media endpoint;
 //! * [`wan`] — fixed-delay WAN path segments.
 //!
-//! All senders expose the [`CongestionControl`] trait so the harness can
-//! swap them per scenario, exactly as the paper swaps `iperf3` congestion
-//! control modules.
+//! All TCP controllers expose the [`CongestionControl`] trait so the
+//! harness can swap them per scenario, exactly as the paper swaps
+//! `iperf3` congestion control modules; every transport exposes
+//! [`Transport`], so the harness drives all flows the same way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +44,7 @@ pub mod registry;
 pub mod reno;
 pub mod scream;
 pub mod tcp;
+pub mod transport;
 pub mod udp_prague;
 pub mod wan;
 
@@ -48,19 +53,8 @@ pub use fec::{FecFeedback, FecLegStats, FecMediaReceiver, FecMediaSender};
 pub use nada::{NadaCc, NadaCore};
 pub use registry::{CcEntry, CcKind, UnknownCc, REGISTRY};
 pub use tcp::{TcpReceiver, TcpSender};
+pub use transport::{
+    Bonding, FecMediaTransport, Released, ScreamTransport, TcpTransport, Transport,
+    UdpPragueTransport,
+};
 pub use wan::WanLink;
-
-/// Build a boxed congestion controller by paper name. MSS is the payload
-/// bytes per segment.
-#[deprecated(
-    since = "0.1.0",
-    note = "parse a typed `CcKind` (`name.parse::<CcKind>()?`) and call \
-            `CcKind::make(mss)`; unknown names then become a typed \
-            `UnknownCc` error instead of this panic"
-)]
-pub fn make_cc(name: &str, mss: usize) -> Box<dyn CongestionControl> {
-    match name.parse::<CcKind>() {
-        Ok(kind) => kind.make(mss),
-        Err(e) => panic!("{e}"),
-    }
-}

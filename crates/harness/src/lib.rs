@@ -54,8 +54,6 @@ pub use scenario::{
     ChannelMix, FlowDir, FlowSpec, MobilitySpec, MobilityStep, ScenarioConfig, TransportSpec,
     UeSpec,
 };
-#[allow(deprecated)]
-pub use scenario::TrafficKind;
 pub use shard::{plan_shards, plan_shards_reason, run_sharded};
 pub use world::World;
 

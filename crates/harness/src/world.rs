@@ -8,10 +8,13 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use l4span_aqm::{DualPi2, Router, RouterAqm};
-use l4span_cc::scream::{FrameMark, ScreamFeedback, ScreamReceiver, ScreamSender};
-use l4span_cc::udp_prague::{PragueFeedback, UdpPragueReceiver, UdpPragueSender};
-use l4span_cc::{CcEvent, FecFeedback, FecMediaReceiver, FecMediaSender, TcpReceiver, TcpSender};
+use l4span_cc::scream::{ScreamReceiver, ScreamSender};
 use l4span_cc::tcp::TcpConfig;
+use l4span_cc::udp_prague::{UdpPragueReceiver, UdpPragueSender};
+use l4span_cc::{
+    Bonding, CcEvent, FecMediaReceiver, FecMediaSender, FecMediaTransport, Released,
+    ScreamTransport, TcpSender, TcpTransport, Transport, UdpPragueTransport,
+};
 use l4span_core::DlVerdict;
 use l4span_net::{FiveTuple, PacketBuf, Protocol};
 use l4span_ran::channel::{ChannelProfile, FadingChannel};
@@ -41,7 +44,7 @@ pub const CYCLE_LABELS: &[&str] = &[
     "ue_stack",    // UE RLC rx/tx entities, polls, UL status handling
     "ul_control",  // UL grant/BSR/status path + per-UE uplink-slot scan
     "wired_core",  // wired-bottleneck router hops
-    "transport",   // endpoint senders/receivers (TCP/SCReAM/Prague)
+    "transport",   // every flow's `Transport` (sender and receiver calls)
     "metrics",     // QoE/series/ground-truth bookkeeping + sample tick
     "event_queue", // event pop + box recycling in the run loop
 ];
@@ -61,33 +64,6 @@ fn ue_ip(i: usize) -> u32 {
 /// Server IP block (one server per flow).
 fn server_ip(f: usize) -> u32 {
     0x0A00_0000 + f as u32
-}
-
-/// Feedback payloads of UDP-based protocols, carried alongside the
-/// uplink feedback packet (the payload is opaque on the wire).
-enum FbData {
-    Scream(ScreamFeedback),
-    Prague(PragueFeedback),
-    Fec(Box<FecFeedback>),
-}
-
-enum Endpoint {
-    Tcp {
-        sender: TcpSender,
-        receiver: TcpReceiver,
-    },
-    Scream {
-        sender: ScreamSender,
-        receiver: ScreamReceiver,
-    },
-    UdpPrague {
-        sender: UdpPragueSender,
-        receiver: UdpPragueReceiver,
-    },
-    FecMedia {
-        sender: Box<FecMediaSender>,
-        receiver: Box<FecMediaReceiver>,
-    },
 }
 
 /// Runtime state of a bonded (dual-connectivity) uplink flow: the
@@ -120,17 +96,16 @@ struct Flow {
     wan_one_way: Duration,
     start: Instant,
     stop: Option<Instant>,
-    endpoint: Endpoint,
+    /// The flow's sender–receiver pair.
+    transport: Box<dyn Transport>,
     started: bool,
     finished_at: Option<Instant>,
     /// Which direction the data travels. For [`FlowDir::Uplink`] the
-    /// endpoint roles flip: the sender lives at the UE feeding the UL
+    /// transport's roles flip: the sender lives at the UE feeding the UL
     /// PDCP/RLC queue, the receiver at the content server.
     dir: FlowDir,
     /// ident → send time of *data-direction* packets (for OWD).
     sent_at: FxHashMap<u16, Instant>,
-    /// ident of uplink feedback packet → its payload.
-    fb_pending: FxHashMap<u16, FbData>,
     /// Earliest scheduled FlowTimer (dedupe).
     timer_at: Instant,
     /// The driving [`Application`], for flows whose app is not executed
@@ -200,9 +175,6 @@ pub(crate) enum Event {
     /// The flow's [`Application`] asked to be woken (app-driven flows
     /// only; natively-lowered flows never schedule one).
     AppTick { flow: usize },
-    /// Abrupt channel change on the UE's *serving* cell (the deprecated
-    /// `channel_events` shim rides this).
-    ChannelChange { ue: usize, profile: ChannelProfile, snr_db: f64 },
     /// A mobility step: the UE now observes (`profile`, `snr_db`) toward
     /// `target_cell`. Same cell → channel replacement; different cell →
     /// full Xn handover.
@@ -274,9 +246,9 @@ pub struct World {
     /// UEs with at least one UM DRB (the only ones whose RLC receivers
     /// need the reassembly-timeout poll).
     um_ues: Vec<usize>,
-    /// Flows with UDP endpoints (the only ones whose receivers need the
-    /// prohibit-interval feedback flush).
-    udp_flows: Vec<usize>,
+    /// Flows whose receivers hold feedback back (a prohibit interval)
+    /// and need the periodic flush.
+    flush_flows: Vec<usize>,
     /// Bonded flows (the only ones whose server-side join buffers need
     /// the gap-timeout flush).
     bond_flows: Vec<usize>,
@@ -287,12 +259,8 @@ pub struct World {
     /// stops touching the allocator once the buffers reach steady-state
     /// size.
     ul_pool: Vec<UlBatch>,
-    /// Scratch buffer for draining SCReAM frame marks (reused).
-    mark_scratch: Vec<FrameMark>,
-    /// Reused buffer for sender-released packets (poll/ACK hot paths).
-    scratch_pkts: Vec<PacketBuf>,
-    /// Reused buffer for FEC-media sender releases (leg-tagged).
-    scratch_leg_pkts: Vec<(u8, PacketBuf)>,
+    /// Reused buffers for sender releases (poll/ACK hot paths).
+    scratch_tx: Released,
     /// Reused buffer for join-buffer releases at the server.
     scratch_join: Vec<PacketBuf>,
     /// Reused buffer for UE app deliveries (the per-TB hot path).
@@ -471,166 +439,96 @@ impl World {
                 FlowDir::Downlink => (sip, uip),
                 FlowDir::Uplink => (uip, sip),
             };
-            // Lower the (application, transport) pair onto an endpoint.
+            // Lower the (application, transport) pair onto a transport.
             // The combinations the transports execute natively (greedy /
             // sized TCP, SCReAM's built-in media source, UDP Prague
             // pacing) take `app: None` and schedule no application
-            // events — which is what keeps pre-split scenarios
-            // byte-identical through the `TrafficKind` shims.
-            let (endpoint, tuple, app, framed) = match (&spec.app, &spec.transport) {
-                (AppProfile::Bulk { bytes }, TransportSpec::Tcp { cc }) => {
-                    let controller = cc.make(1400);
-                    let mode = controller.ecn_mode();
-                    let mut tcfg = TcpConfig::new(src, dst, 443, 50_000 + f as u16);
-                    tcfg.app_limit = *bytes;
-                    let tuple = tcfg.downlink_tuple();
-                    (
-                        Endpoint::Tcp {
-                            sender: TcpSender::new(tcfg, controller),
-                            receiver: TcpReceiver::new(tcfg, mode),
-                        },
-                        tuple,
-                        None,
-                        None,
-                    )
-                }
-                (app_profile, TransportSpec::Tcp { cc }) => {
-                    // Application-driven TCP: the app owns what bytes are
-                    // offered and when; the sender is fed incrementally.
-                    let controller = cc.make(1400);
-                    let mode = controller.ecn_mode();
-                    let tcfg = TcpConfig::new(src, dst, 443, 50_000 + f as u16);
-                    let tuple = tcfg.downlink_tuple();
-                    let framed = match app_profile {
-                        AppProfile::FramedVideo(v) => {
-                            Some((v.frame_interval(), v.deadline))
-                        }
-                        _ => None,
-                    };
-                    (
-                        Endpoint::Tcp {
-                            sender: TcpSender::app_driven(tcfg, controller),
-                            receiver: TcpReceiver::new(tcfg, mode),
-                        },
-                        tuple,
-                        Some(app_profile.instantiate(spec.start)),
-                        framed,
-                    )
-                }
-                (AppProfile::FramedVideo(v), TransportSpec::Scream) => {
-                    let sport = 5004u16;
-                    let dport = 42_000 + f as u16;
-                    let tuple = FiveTuple {
-                        src_ip: src,
-                        dst_ip: dst,
-                        src_port: sport,
-                        dst_port: dport,
-                        protocol: Protocol::Udp,
-                    };
-                    (
-                        Endpoint::Scream {
-                            sender: ScreamSender::new(
-                                src, dst, sport, dport, v.min_bps, v.start_bps,
-                                v.max_bps, v.fps, true,
-                            )
-                            .with_keyframes(v.keyframe_every, v.keyframe_boost),
-                            receiver: ScreamReceiver::new(dst, src, dport, sport),
-                        },
-                        tuple,
-                        None,
-                        Some((v.frame_interval(), v.deadline)),
-                    )
-                }
-                (AppProfile::Bulk { bytes: None }, TransportSpec::UdpPrague {
-                    min_rate,
-                    start_rate,
-                    max_rate,
-                }) => {
-                    let sport = 5006u16;
-                    let dport = 43_000 + f as u16;
-                    let tuple = FiveTuple {
-                        src_ip: src,
-                        dst_ip: dst,
-                        src_port: sport,
-                        dst_port: dport,
-                        protocol: Protocol::Udp,
-                    };
-                    (
-                        Endpoint::UdpPrague {
-                            sender: UdpPragueSender::new(
+            // events. This is the world's only per-transport `match`.
+            let udp = |sport: u16, dport: u16| FiveTuple {
+                src_ip: src,
+                dst_ip: dst,
+                src_port: sport,
+                dst_port: dport,
+                protocol: Protocol::Udp,
+            };
+            let (transport, tuple, app, framed): (Box<dyn Transport>, _, _, _) =
+                match (&spec.app, &spec.transport) {
+                    (AppProfile::Bulk { bytes }, TransportSpec::Tcp { cc }) => {
+                        let mut tcfg = TcpConfig::new(src, dst, 443, 50_000 + f as u16);
+                        tcfg.app_limit = *bytes;
+                        let tcp = TcpTransport::new(TcpSender::new(tcfg, cc.make(1400)));
+                        (Box::new(tcp), tcfg.downlink_tuple(), None, None)
+                    }
+                    (app_profile, TransportSpec::Tcp { cc }) => {
+                        // Application-driven TCP: the app owns what bytes
+                        // are offered and when; the sender is fed
+                        // incrementally.
+                        let tcfg = TcpConfig::new(src, dst, 443, 50_000 + f as u16);
+                        let framed = match app_profile {
+                            AppProfile::FramedVideo(v) => Some((v.frame_interval(), v.deadline)),
+                            _ => None,
+                        };
+                        let tcp = TcpTransport::new(TcpSender::app_driven(tcfg, cc.make(1400)));
+                        let app = Some(app_profile.instantiate(spec.start));
+                        (Box::new(tcp), tcfg.downlink_tuple(), app, framed)
+                    }
+                    (AppProfile::FramedVideo(v), TransportSpec::Scream) => {
+                        let (sport, dport) = (5004u16, 42_000 + f as u16);
+                        let sender = ScreamSender::new(
+                            src, dst, sport, dport, v.min_bps, v.start_bps, v.max_bps, v.fps,
+                            true,
+                        )
+                        .with_keyframes(v.keyframe_every, v.keyframe_boost);
+                        let receiver = ScreamReceiver::new(dst, src, dport, sport);
+                        let scream = ScreamTransport::new(sender, receiver);
+                        let framed = Some((v.frame_interval(), v.deadline));
+                        (Box::new(scream), udp(sport, dport), None, framed)
+                    }
+                    (AppProfile::Bulk { bytes: None }, TransportSpec::UdpPrague {
+                        min_rate,
+                        start_rate,
+                        max_rate,
+                    }) => {
+                        let (sport, dport) = (5006u16, 43_000 + f as u16);
+                        let prague = UdpPragueTransport::new(
+                            UdpPragueSender::new(
                                 src, dst, sport, dport, *min_rate, *start_rate, *max_rate,
                             ),
-                            receiver: UdpPragueReceiver::new(dst, src, dport, sport),
-                        },
-                        tuple,
-                        None,
-                        None,
-                    )
-                }
-                (AppProfile::Bulk { bytes: None }, TransportSpec::FecMedia {
-                    min_rate,
-                    start_rate,
-                    max_rate,
-                    fps,
-                }) => {
-                    assert_eq!(
-                        spec.dir,
-                        FlowDir::Uplink,
-                        "flow {f}: FecMedia transport is uplink-only"
-                    );
-                    let sport = 5008u16;
-                    let dport = 44_000 + f as u16;
-                    let tuple = FiveTuple {
-                        src_ip: src,
-                        dst_ip: dst,
-                        src_port: sport,
-                        dst_port: dport,
-                        protocol: Protocol::Udp,
-                    };
-                    let n_legs = 1 + usize::from(spec.bond.is_some());
-                    (
-                        Endpoint::FecMedia {
-                            sender: Box::new(FecMediaSender::new(
+                            UdpPragueReceiver::new(dst, src, dport, sport),
+                        );
+                        (Box::new(prague), udp(sport, dport), None, None)
+                    }
+                    (AppProfile::Bulk { bytes: None }, TransportSpec::FecMedia {
+                        min_rate,
+                        start_rate,
+                        max_rate,
+                        fps,
+                    }) => {
+                        assert_eq!(
+                            spec.dir,
+                            FlowDir::Uplink,
+                            "flow {f}: FecMedia transport is uplink-only"
+                        );
+                        let (sport, dport) = (5008u16, 44_000 + f as u16);
+                        let n_legs = 1 + usize::from(spec.bond.is_some());
+                        let fec = FecMediaTransport::new(
+                            FecMediaSender::new(
                                 src, dst, sport, dport, *min_rate, *start_rate, *max_rate,
                                 *fps, n_legs,
-                            )),
-                            receiver: Box::new(FecMediaReceiver::new(dst, src, dport, sport)),
-                        },
-                        tuple,
-                        None,
-                        None,
-                    )
-                }
-                (app, transport) => panic!(
-                    "flow {f}: unsupported application/transport combination \
-                     ({app:?} over {transport:?}); SCReAM requires a FramedVideo \
-                     application, UDP Prague and FEC media a greedy Bulk one"
-                ),
-            };
+                            ),
+                            FecMediaReceiver::new(dst, src, dport, sport),
+                        );
+                        (Box::new(fec), udp(sport, dport), None, None)
+                    }
+                    (app, transport) => panic!(
+                        "flow {f}: unsupported application/transport combination \
+                         ({app:?} over {transport:?}); SCReAM requires a FramedVideo \
+                         application, UDP Prague and FEC media a greedy Bulk one"
+                    ),
+                };
             if spec.dir == FlowDir::Uplink {
-                // Stand up the uplink data plane for this bearer: the
-                // UE-side PDCP/RLC transmit entities and the serving
-                // cell's receive entities, in the DRB's configured mode.
                 has_ul_data = true;
-                let ue_id = UeId(spec.ue as u16);
-                let home = cfg.ues[spec.ue].initial_cell;
-                let mode = cfg.ues[spec.ue]
-                    .drbs
-                    .iter()
-                    .find(|&&(d, _)| d == spec.drb)
-                    .map(|&(_, m)| m)
-                    .unwrap_or_else(|| {
-                        panic!("uplink flow {f}: DRB {} not in UE {} spec", spec.drb, spec.ue)
-                    });
-                has_um_ul |= mode == RlcMode::Um;
-                let cell_cfg = cfg.cell_config(home);
-                ues[spec.ue].configure_ul_drb(
-                    DrbId(spec.drb),
-                    mode,
-                    cell_cfg.rlc_queue_sdus,
-                    cell_cfg.segment_overhead,
-                );
-                gnbs[home].ensure_ul_drb(ue_id, DrbId(spec.drb), mode);
+                has_um_ul |= add_ul_bearer(&cfg, &mut ues, &mut gnbs, f, spec.ue, spec.drb);
             }
             // Bonded (dual-connectivity) leg: stand up the same uplink
             // bearer on the secondary UE, which must sit on a different
@@ -639,7 +537,7 @@ impl World {
             let bond = if let Some(ue2) = spec.bond {
                 assert_eq!(spec.dir, FlowDir::Uplink, "flow {f}: bonding is uplink-only");
                 assert!(
-                    matches!(endpoint, Endpoint::Tcp { .. } | Endpoint::FecMedia { .. }),
+                    transport.bonding() != Bonding::Unsupported,
                     "flow {f}: bonding supports TCP and FEC-media endpoints only"
                 );
                 assert!(
@@ -655,31 +553,15 @@ impl World {
                     cfg.ues[spec.ue].initial_cell, home2,
                     "flow {f}: bonded legs must attach to different cells"
                 );
-                let ue2_id = UeId(ue2 as u16);
-                let mode2 = cfg.ues[ue2]
-                    .drbs
-                    .iter()
-                    .find(|&&(d, _)| d == spec.drb)
-                    .map(|&(_, m)| m)
-                    .unwrap_or_else(|| {
-                        panic!("bonded flow {f}: DRB {} not in UE {ue2} spec", spec.drb)
-                    });
-                has_um_ul |= mode2 == RlcMode::Um;
-                let cell_cfg2 = cfg.cell_config(home2);
-                ues[ue2].configure_ul_drb(
-                    DrbId(spec.drb),
-                    mode2,
-                    cell_cfg2.rlc_queue_sdus,
-                    cell_cfg2.segment_overhead,
-                );
-                gnbs[home2].ensure_ul_drb(ue2_id, DrbId(spec.drb), mode2);
+                has_um_ul |= add_ul_bearer(&cfg, &mut ues, &mut gnbs, f, ue2, spec.drb);
                 Some(Box::new(BondState {
                     ue2_idx: ue2,
-                    ue2_id,
+                    ue2_id: UeId(ue2 as u16),
                     tx: BondTx::new(),
-                    // TCP legs need a server-side reorder/join buffer;
-                    // the FEC media receiver sequences for itself.
-                    join: matches!(endpoint, Endpoint::Tcp { .. }).then(BondJoin::new),
+                    // Byte streams need a server-side reorder/join
+                    // buffer; self-striping transports sequence for
+                    // themselves.
+                    join: (transport.bonding() == Bonding::Striped).then(BondJoin::new),
                     sbd: SbdDetector::new(),
                     leg_of: FxHashMap::default(),
                     leg_pkts: [0; 2],
@@ -697,13 +579,12 @@ impl World {
                 wan_one_way: spec.wan.one_way,
                 start: spec.start,
                 stop: spec.stop,
-                endpoint,
+                transport,
                 started: false,
                 finished_at: None,
                 dir: spec.dir,
                 sent_at: FxHashMap::default(),
-                fb_pending: FxHashMap::default(),
-                timer_at: Instant::MAX,
+                    timer_at: Instant::MAX,
                 app,
                 app_timer_at: Instant::MAX,
                 pending_units: VecDeque::new(),
@@ -738,8 +619,8 @@ impl World {
 
         let n = flows.len();
         // UEs that actually need the periodic poll (UM reassembly skips)
-        // and flows that need the UDP feedback flush; in an all-AM,
-        // all-TCP cell the UePoll tick disappears entirely.
+        // and flows whose receivers need the feedback flush; in an
+        // all-AM, all-TCP cell the UePoll tick disappears entirely.
         let um_ues: Vec<usize> = cfg
             .ues
             .iter()
@@ -747,10 +628,10 @@ impl World {
             .filter(|(_, s)| s.drbs.iter().any(|&(_, m)| m == RlcMode::Um))
             .map(|(i, _)| i)
             .collect();
-        let udp_flows: Vec<usize> = flows
+        let flush_flows: Vec<usize> = flows
             .iter()
             .enumerate()
-            .filter(|(_, f)| !matches!(f.endpoint, Endpoint::Tcp { .. }))
+            .filter(|(_, f)| f.transport.flushes_feedback())
             .map(|(i, _)| i)
             .collect();
         let bond_flows: Vec<usize> = flows
@@ -760,7 +641,7 @@ impl World {
             .map(|(i, _)| i)
             .collect();
         let need_ue_poll =
-            !um_ues.is_empty() || !udp_flows.is_empty() || has_um_ul || !bond_flows.is_empty();
+            !um_ues.is_empty() || !flush_flows.is_empty() || has_um_ul || !bond_flows.is_empty();
         let n_ues = serving.len();
         // The UE-side uplink markers mirror the CU ones (same deployment
         // shape, disjoint stream range); their RNG streams are derived
@@ -811,13 +692,11 @@ impl World {
             router_poll_at: Instant::MAX,
             impair,
             um_ues,
-            udp_flows,
+            flush_flows,
             bond_flows,
             slot_out: SlotOutput::default(),
             ul_pool: Vec::new(),
-            mark_scratch: Vec::new(),
-            scratch_pkts: Vec::new(),
-            scratch_leg_pkts: Vec::new(),
+            scratch_tx: Released::default(),
             scratch_join: Vec::new(),
             scratch_app_deliv: Vec::new(),
             scratch_grants: Vec::new(),
@@ -903,19 +782,7 @@ impl World {
                 w.sched(t, Event::RouterRate { bps });
             }
         }
-        // The deprecated single-cell shim: a channel change on whatever
-        // cell serves the UE when the event fires.
-        for (t, ue, profile, snr_db) in w.cfg.channel_events.clone() {
-            w.sched(
-                t,
-                Event::ChannelChange {
-                    ue,
-                    profile,
-                    snr_db,
-                },
-            );
-        }
-        // Mobility trajectories (the multi-cell DSL that subsumes it).
+        // Mobility trajectories: handovers and channel changes.
         for i in 0..w.cfg.ues.len() {
             for k in 0..w.cfg.ues[i].mobility.len() {
                 let step = w.cfg.ues[i].mobility[k];
@@ -933,16 +800,23 @@ impl World {
         w
     }
 
-    /// Schedule an event, reusing a pooled box when one is available.
+    /// Box an event, reusing a pooled box when one is available.
     #[inline]
-    fn sched(&mut self, at: Instant, ev: Event) {
+    fn boxed(&mut self, ev: Event) -> Box<Event> {
         match self.pool.pop() {
             Some(mut b) => {
                 *b = ev;
-                self.queue.schedule(at, b);
+                b
             }
-            None => self.queue.schedule(at, Box::new(ev)),
+            None => Box::new(ev),
         }
+    }
+
+    /// Schedule an event.
+    #[inline]
+    fn sched(&mut self, at: Instant, ev: Event) {
+        let b = self.boxed(ev);
+        self.queue.schedule(at, b);
     }
 
     /// Marker-instance index for `cell`: the shared central instance, or
@@ -988,13 +862,7 @@ impl World {
         if self.owns_flow(flow) {
             self.sched(at, ev);
         } else {
-            let bx = match self.pool.pop() {
-                Some(mut b) => {
-                    *b = ev;
-                    b
-                }
-                None => Box::new(ev),
-            };
+            let bx = self.boxed(ev);
             self.outbox.push((at, bx));
         }
     }
@@ -1132,52 +1000,22 @@ impl World {
                 if let Some(app) = &mut self.flows[flow].app {
                     app.stop();
                 }
-                match &mut self.flows[flow].endpoint {
-                    Endpoint::Tcp { sender, .. } => sender.stop(),
-                    Endpoint::Scream { sender, .. } => sender.stop(),
-                    Endpoint::UdpPrague { sender, .. } => sender.stop(),
-                    Endpoint::FecMedia { sender, .. } => sender.stop(),
-                }
+                self.flows[flow].transport.stop();
             }
             Event::FlowTimer { flow } => {
                 self.flows[flow].timer_at = Instant::MAX;
                 if !self.flows[flow].started {
                     return;
                 }
-                let mut outs = std::mem::take(&mut self.scratch_pkts);
-                let mut leg_outs = std::mem::take(&mut self.scratch_leg_pkts);
+                let mut out = std::mem::take(&mut self.scratch_tx);
                 let t0 = self.cycles.start();
-                match &mut self.flows[flow].endpoint {
-                    Endpoint::Tcp { sender, .. } => sender.poll_into(now, &mut outs),
-                    Endpoint::Scream { sender, .. } => {
-                        sender.poll_into(now, &mut outs);
-                        sender.take_frame_marks_into(&mut self.mark_scratch);
-                    }
-                    Endpoint::UdpPrague { sender, .. } => sender.poll_into(now, &mut outs),
-                    Endpoint::FecMedia { sender, .. } => sender.poll_into(now, &mut leg_outs),
-                }
+                self.flows[flow].transport.poll(now, &mut out);
                 self.cycles.stop(t0, CYC_TRANSPORT);
-                self.register_frame_marks(flow);
-                match self.flows[flow].dir {
-                    FlowDir::Downlink => self.route_dl(flow, &mut outs, now),
-                    FlowDir::Uplink => self.send_ul_data(flow, &mut outs, now),
-                }
-                // FEC media pre-stripes itself: each release names its leg.
-                for (leg, pkt) in leg_outs.drain(..) {
-                    self.send_ul_data_leg(flow, leg, pkt, now);
-                }
-                self.scratch_pkts = outs;
-                self.scratch_leg_pkts = leg_outs;
+                self.send_released(flow, &mut out, now);
+                self.scratch_tx = out;
                 self.reschedule_timer(flow, now);
             }
             Event::AppTick { flow } => self.on_app_tick(flow, now),
-            Event::ChannelChange { ue, profile, snr_db } => {
-                // Intra-cell channel change: the RLC queues and all
-                // in-flight state survive; only the radio changes.
-                let cell = self.serving[ue];
-                let ch = self.fresh_channel(ue, cell, profile, snr_db, now);
-                self.gnbs[cell].replace_channel(UeId(ue as u16), ch);
-            }
             Event::Handover { ue, target_cell, profile, snr_db } => {
                 self.on_handover(ue, target_cell, profile, snr_db, now)
             }
@@ -1213,39 +1051,14 @@ impl World {
                 // Flush feedback reports suppressed by the prohibit
                 // interval (UDP receivers have no ack clock of their own;
                 // without this a window-limited sender can deadlock).
-                // Only UDP endpoints ever have anything to flush.
                 let t0 = self.cycles.start();
-                for k in 0..self.udp_flows.len() {
-                    let flow = self.udp_flows[k];
+                for k in 0..self.flush_flows.len() {
+                    let flow = self.flush_flows[k];
                     if !self.owns_flow(flow) {
                         continue;
                     }
-                    let f = &mut self.flows[flow];
-                    let ue = f.ue_idx;
-                    let dir = f.dir;
-                    let pending = match &mut f.endpoint {
-                        Endpoint::Scream { receiver, .. } => receiver
-                            .poll(now)
-                            .map(|(p, fb)| (p, FbData::Scream(fb))),
-                        Endpoint::UdpPrague { receiver, .. } => receiver
-                            .poll(now)
-                            .map(|(p, fb)| (p, FbData::Prague(fb))),
-                        Endpoint::FecMedia { receiver, .. } => {
-                            receiver.poll(now).map(|(p, fb)| (p, FbData::Fec(Box::new(fb))))
-                        }
-                        Endpoint::Tcp { .. } => None,
-                    };
-                    if let Some((fb_pkt, fb)) = pending {
-                        let fid = fb_pkt.identification();
-                        f.fb_pending.insert(fid, fb);
-                        match dir {
-                            // Downlink flow: the receiver is at the UE,
-                            // its report rides the uplink control path.
-                            FlowDir::Downlink => self.ues[ue].enqueue_uplink(fb_pkt, now),
-                            // Uplink flow: the receiver is at the
-                            // server, its report rides the downlink.
-                            FlowDir::Uplink => self.route_dl_pkt(flow, fb_pkt, now),
-                        }
+                    if let Some(fb) = self.flows[flow].transport.poll_feedback(now) {
+                        self.send_feedback(flow, fb, now);
                     }
                 }
                 self.cycles.stop(t0, CYC_TRANSPORT);
@@ -1283,7 +1096,7 @@ impl World {
                         }
                     }
                     for pkt in joined.drain(..) {
-                        self.deliver_ul_at_server(flow, pkt, 0, now);
+                        self.deliver_data(flow, pkt, 0, now);
                     }
                 }
                 self.scratch_join = joined;
@@ -1562,23 +1375,27 @@ impl World {
         self.cycles.stop(c0, CYC_GNB);
     }
 
+    /// The flow a downlink-travelling packet belongs to. Downlink flows
+    /// register their (downlink) data tuple, so the direct probe hits.
+    /// Uplink flows register the uplink data tuple; a downlink packet
+    /// for one is its feedback, found under the reversed key.
+    fn dl_flow_of(&self, pkt: &PacketBuf) -> Option<usize> {
+        let tuple = pkt.five_tuple()?;
+        match self.tuple_to_flow.get(&tuple) {
+            Some(&f) => Some(f),
+            None => match self.tuple_to_flow.get(&tuple.reversed()) {
+                Some(&f) if self.flows[f].dir == FlowDir::Uplink => Some(f),
+                _ => None,
+            },
+        }
+    }
+
     fn on_app_deliver(&mut self, pkt: PacketBuf, t_cu_ingress: Instant, now: Instant) {
-        let Some(tuple) = pkt.five_tuple() else {
+        let Some(flow) = self.dl_flow_of(&pkt) else {
             return;
         };
-        // Downlink flows register their (downlink) data tuple, so the
-        // direct probe hits. Uplink flows register the uplink data
-        // tuple; a downlink delivery for one is its feedback, found
-        // under the reversed key.
-        let flow = match self.tuple_to_flow.get(&tuple) {
-            Some(&f) => f,
-            None => match self.tuple_to_flow.get(&tuple.reversed()) {
-                Some(&f) if self.flows[f].dir == FlowDir::Uplink => f,
-                _ => return,
-            },
-        };
         if self.flows[flow].dir == FlowDir::Uplink {
-            return self.on_ul_feedback_at_ue(flow, pkt, now);
+            return self.on_feedback(flow, pkt, now);
         }
         let ident = pkt.identification();
         let payload = pkt.payload_len();
@@ -1611,54 +1428,56 @@ impl World {
         }
         self.cycles.stop(c0, CYC_METRICS);
         let _ = t_cu_ingress;
-        // Hand to the client endpoint.
+        self.deliver_data(flow, pkt, 0, now);
+    }
+
+    /// A data packet reaches the flow's receiver — at the UE for
+    /// downlink flows, at the server (after the bond join) for uplink
+    /// ones — over bond leg `leg`. Its feedback heads back toward the
+    /// sender and the application's units complete.
+    fn deliver_data(&mut self, flow: usize, pkt: PacketBuf, leg: u8, now: Instant) {
+        let ident = pkt.identification();
         let c0 = self.cycles.start();
-        let mut tcp_watermark = None;
-        match &mut self.flows[flow].endpoint {
-            Endpoint::Tcp { receiver, .. } => {
-                let ack = receiver.on_packet(&pkt, now);
-                tcp_watermark = Some(receiver.received);
-                if let Some(ack) = ack {
-                    self.ues[ue].enqueue_uplink(ack, now);
-                }
-            }
-            Endpoint::Scream { receiver, .. } => {
-                if let Some((fb_pkt, fb)) = receiver.on_packet(&pkt, now) {
-                    let fid = fb_pkt.identification();
-                    self.flows[flow].fb_pending.insert(fid, FbData::Scream(fb));
-                    self.ues[ue].enqueue_uplink(fb_pkt, now);
-                }
-            }
-            Endpoint::UdpPrague { receiver, .. } => {
-                if let Some((fb_pkt, fb)) = receiver.on_packet(&pkt, now) {
-                    let fid = fb_pkt.identification();
-                    self.flows[flow].fb_pending.insert(fid, FbData::Prague(fb));
-                    self.ues[ue].enqueue_uplink(fb_pkt, now);
-                }
-            }
-            // Uplink-only endpoint: the early return above already
-            // routed its (downlink-riding) feedback to the UE sender.
-            Endpoint::FecMedia { .. } => unreachable!("FecMedia flows are uplink-only"),
+        let f = &mut self.flows[flow];
+        // The harness-side detector owns the shared-bottleneck verdict;
+        // a self-striping receiver echoes it to the sender in feedback.
+        if let Some(b) = &f.bond {
+            f.transport.set_coupled(b.sbd.coupled());
+        }
+        let fb = f.transport.on_data(&pkt, leg, now);
+        let watermark = f.transport.stream_watermark();
+        if let Some(fb) = fb {
+            self.send_feedback(flow, fb, now);
         }
         self.cycles.stop(c0, CYC_TRANSPORT);
         let c0 = self.cycles.start();
-        self.complete_stream_units(flow, tcp_watermark, ident, now);
+        self.complete_stream_units(flow, watermark, ident, now);
         self.cycles.stop(c0, CYC_METRICS);
+    }
+
+    /// Carry a receiver-emitted packet (ACK, SYN, report) toward the
+    /// sender: on the UE's uplink control path for downlink flows, down
+    /// the wired path for uplink ones.
+    fn send_feedback(&mut self, flow: usize, pkt: PacketBuf, now: Instant) {
+        match self.flows[flow].dir {
+            FlowDir::Downlink => self.ues[self.flows[flow].ue_idx].enqueue_uplink(pkt, now),
+            FlowDir::Uplink => self.route_dl_pkt(flow, pkt, now),
+        }
     }
 
     /// Application-level QoE at the data-direction receiver (the UE for
     /// downlink flows, the content server for uplink ones): complete
-    /// stream units against the TCP in-order watermark, or the SCReAM
-    /// frame whose last packet this delivery was. Natively-lowered bulk
-    /// flows skip all of it.
+    /// stream units against a byte stream's in-order watermark, or the
+    /// media frame whose last packet this delivery was. Natively-lowered
+    /// bulk flows skip all of it.
     fn complete_stream_units(
         &mut self,
         flow: usize,
-        tcp_watermark: Option<u64>,
+        watermark: Option<u64>,
         ident: u16,
         now: Instant,
     ) {
-        if let Some(wm) = tcp_watermark {
+        if let Some(wm) = watermark {
             if self.flows[flow].app.is_some() || !self.flows[flow].pending_units.is_empty()
             {
                 self.on_stream_progress(flow, wm, now);
@@ -1813,20 +1632,29 @@ impl World {
         self.scratch_ul_f1u = f1u;
     }
 
-    /// Send uplink data packets from a UE-side sender: the uplink
-    /// marker sees each packet at queue ingress (event 1, mirrored),
-    /// then PDCP numbers it and RLC queues it for grant-driven
-    /// transmission. Send times are registered for uplink OWD.
-    /// Queue sender-released packets onto the uplink bearer. Drains
-    /// `pkts` so callers can reuse the buffer.
-    fn send_ul_data(&mut self, flow: usize, pkts: &mut Vec<PacketBuf>, now: Instant) {
-        for pkt in pkts.drain(..) {
-            // Bonded flows stripe across legs by byte balance; the FEC
-            // media sender never comes through here (it pre-stripes).
+    /// Send what a sender released along the flow's data path: down the
+    /// wired path for downlink flows, onto the uplink bearer for uplink
+    /// ones (striped across a bond's legs by byte balance unless the
+    /// sender named each packet's leg). Frame marks go into the flow's
+    /// pending table first (ident of the frame's last packet → capture
+    /// time). Leaves `out` empty for reuse.
+    fn send_released(&mut self, flow: usize, out: &mut Released, now: Instant) {
+        for m in out.marks.drain(..) {
+            let ident = (m.wire_seq & 0xFFFF) as u16;
+            self.flows[flow].frame_pending.insert(ident, m.created);
+        }
+        for pkt in out.pkts.drain(..) {
+            if self.flows[flow].dir == FlowDir::Downlink {
+                self.route_dl_pkt(flow, pkt, now);
+                continue;
+            }
             let leg = match &mut self.flows[flow].bond {
                 Some(b) => b.tx.pick(pkt.wire_len()),
                 None => 0,
             };
+            self.send_ul_data_leg(flow, leg, pkt, now);
+        }
+        for (leg, pkt) in out.legs.drain(..) {
             self.send_ul_data_leg(flow, leg, pkt, now);
         }
     }
@@ -1865,85 +1693,31 @@ impl World {
     }
 
     fn on_ul_at_server(&mut self, flow: usize, pkt: PacketBuf, now: Instant) {
-        if self.flows[flow].dir == FlowDir::Uplink {
-            return self.on_ul_data_at_server(flow, pkt, now);
+        match self.flows[flow].dir {
+            FlowDir::Downlink => self.on_feedback(flow, pkt, now),
+            FlowDir::Uplink => self.on_ul_data_at_server(flow, pkt, now),
         }
-        let mut outs = std::mem::take(&mut self.scratch_pkts);
-        self.drive_sender_into(flow, &pkt, now, &mut outs);
-        self.route_dl(flow, &mut outs, now);
-        self.scratch_pkts = outs;
-        self.reschedule_timer(flow, now);
     }
 
     /// Feed one arriving feedback packet to the flow's sender —
     /// wherever it lives (content server for downlink flows, the UE for
-    /// uplink ones) — recording RTT samples, completion, frame marks,
-    /// and the application rate-adaptation hook. The data packets the
-    /// sender released are appended to `outs`; the caller routes them
-    /// in the flow's data direction.
-    fn drive_sender_into(
-        &mut self,
-        flow: usize,
-        pkt: &PacketBuf,
-        now: Instant,
-        outs: &mut Vec<PacketBuf>,
-    ) {
-        let ident = pkt.identification();
-        let mut leg_outs = std::mem::take(&mut self.scratch_leg_pkts);
-        let f = &mut self.flows[flow];
-        let fb = f.fb_pending.remove(&ident);
-        let mut rate_estimate = None;
+    /// uplink ones) — recording RTT samples, completion, and the
+    /// application rate-adaptation hook, then send the data the sender
+    /// released.
+    fn on_feedback(&mut self, flow: usize, pkt: PacketBuf, now: Instant) {
+        let mut out = std::mem::take(&mut self.scratch_tx);
         let c0 = self.cycles.start();
-        match &mut f.endpoint {
-            Endpoint::Tcp { sender, .. } => {
-                sender.on_packet_into(pkt, now, outs);
-                if let Some(srtt) = sender.srtt() {
-                    self.rtt_ms[flow].push(srtt.as_millis_f64());
-                    self.rtt_at_s[flow].push(now.as_secs_f64());
-                }
-                if sender.finished() && f.finished_at.is_none() {
-                    f.finished_at = Some(now);
-                }
-                rate_estimate = sender.rate_estimate_bps();
-            }
-            Endpoint::Scream { sender, .. } => {
-                if let Some(FbData::Scream(fb)) = fb {
-                    sender.on_feedback(&fb, now);
-                    self.rtt_ms[flow].push(sender.srtt().as_millis_f64());
-                    self.rtt_at_s[flow].push(now.as_secs_f64());
-                }
-                sender.poll_into(now, outs);
-                sender.take_frame_marks_into(&mut self.mark_scratch);
-            }
-            Endpoint::UdpPrague { sender, .. } => {
-                if let Some(FbData::Prague(fb)) = fb {
-                    sender.on_feedback(&fb, now);
-                    if let Some(srtt) = sender.srtt() {
-                        self.rtt_ms[flow].push(srtt.as_millis_f64());
-                        self.rtt_at_s[flow].push(now.as_secs_f64());
-                    }
-                }
-                sender.poll_into(now, outs);
-            }
-            Endpoint::FecMedia { sender, .. } => {
-                if let Some(FbData::Fec(fb)) = fb {
-                    sender.on_feedback(&fb, now);
-                    if let Some(srtt) = sender.leg_srtt(0) {
-                        self.rtt_ms[flow].push(srtt.as_millis_f64());
-                        self.rtt_at_s[flow].push(now.as_secs_f64());
-                    }
-                }
-                sender.poll_into(now, &mut leg_outs);
-            }
+        let f = &mut self.flows[flow];
+        let rtt = f.transport.on_feedback(&pkt, now, &mut out);
+        if f.transport.finished() && f.finished_at.is_none() {
+            f.finished_at = Some(now);
         }
+        let rate_estimate = f.transport.rate_estimate_bps();
         self.cycles.stop(c0, CYC_TRANSPORT);
-        // FEC media releases are leg-tagged and uplink-only: queue them
-        // straight onto their bearers (`outs` stays empty for them).
-        for (leg, p) in leg_outs.drain(..) {
-            self.send_ul_data_leg(flow, leg, p, now);
+        if let Some(srtt) = rtt {
+            self.rtt_ms[flow].push(srtt.as_millis_f64());
+            self.rtt_at_s[flow].push(now.as_secs_f64());
         }
-        self.scratch_leg_pkts = leg_outs;
-        self.register_frame_marks(flow);
         // Rate-adaptation hook: let a driving application (e.g. a video
         // encoder over TCP) track what its transport can sustain.
         if let Some(bps) = rate_estimate {
@@ -1953,6 +1727,9 @@ impl World {
                 self.resched_app(flow, now);
             }
         }
+        self.send_released(flow, &mut out, now);
+        self.scratch_tx = out;
+        self.reschedule_timer(flow, now);
     }
 
     /// Uplink data arrives at the content server: record uplink OWD and
@@ -1984,10 +1761,10 @@ impl World {
                 }
             }
         }
-        // Bonded TCP legs interleave arbitrarily on the air: restore
-        // transmission order through the join buffer before the receiver
-        // sees the bytes. FEC media sequences for itself; unbonded flows
-        // pass straight through.
+        // Bonded byte-stream legs interleave arbitrarily on the air:
+        // restore transmission order through the join buffer before the
+        // receiver sees the bytes. Self-striping transports sequence for
+        // themselves; unbonded flows pass straight through.
         let joins = self.flows[flow]
             .bond
             .as_ref()
@@ -2000,85 +1777,21 @@ impl World {
                 }
             }
             for p in joined.drain(..) {
-                self.deliver_ul_at_server(flow, p, leg, now);
+                self.deliver_data(flow, p, leg, now);
             }
             self.scratch_join = joined;
         } else {
-            self.deliver_ul_at_server(flow, pkt, leg, now);
+            self.deliver_data(flow, pkt, leg, now);
         }
-    }
-
-    /// Hand one uplink data packet (post-join for bonded TCP flows) to
-    /// the server-side receiver and route its ACK/feedback back down
-    /// toward the primary UE.
-    fn deliver_ul_at_server(&mut self, flow: usize, pkt: PacketBuf, leg: u8, now: Instant) {
-        let ident = pkt.identification();
-        let mut tcp_watermark = None;
-        // The harness-side detector owns the shared-bottleneck verdict;
-        // the FEC media receiver echoes it to the sender in feedback.
-        let coupled = self.flows[flow].bond.as_ref().map(|b| b.sbd.coupled());
-        match &mut self.flows[flow].endpoint {
-            Endpoint::Tcp { receiver, .. } => {
-                let ack = receiver.on_packet(&pkt, now);
-                tcp_watermark = Some(receiver.received);
-                if let Some(ack) = ack {
-                    self.route_dl_pkt(flow, ack, now);
-                }
-            }
-            Endpoint::Scream { receiver, .. } => {
-                if let Some((fb_pkt, fb)) = receiver.on_packet(&pkt, now) {
-                    let fid = fb_pkt.identification();
-                    self.flows[flow].fb_pending.insert(fid, FbData::Scream(fb));
-                    self.route_dl_pkt(flow, fb_pkt, now);
-                }
-            }
-            Endpoint::UdpPrague { receiver, .. } => {
-                if let Some((fb_pkt, fb)) = receiver.on_packet(&pkt, now) {
-                    let fid = fb_pkt.identification();
-                    self.flows[flow].fb_pending.insert(fid, FbData::Prague(fb));
-                    self.route_dl_pkt(flow, fb_pkt, now);
-                }
-            }
-            Endpoint::FecMedia { receiver, .. } => {
-                if let Some(c) = coupled {
-                    receiver.set_coupled(c);
-                }
-                if let Some((fb_pkt, fb)) = receiver.on_packet(&pkt, leg, now) {
-                    let fid = fb_pkt.identification();
-                    self.flows[flow].fb_pending.insert(fid, FbData::Fec(Box::new(fb)));
-                    self.route_dl_pkt(flow, fb_pkt, now);
-                }
-            }
-        }
-        self.complete_stream_units(flow, tcp_watermark, ident, now);
-    }
-
-    /// Feedback for an uplink flow delivers at the UE: drive the UE-side
-    /// sender — the uplink mirror of the downlink `on_ul_at_server` —
-    /// and queue the released data onto the uplink bearer.
-    fn on_ul_feedback_at_ue(&mut self, flow: usize, pkt: PacketBuf, now: Instant) {
-        let mut outs = std::mem::take(&mut self.scratch_pkts);
-        self.drive_sender_into(flow, &pkt, now, &mut outs);
-        self.send_ul_data(flow, &mut outs, now);
-        self.scratch_pkts = outs;
-        self.reschedule_timer(flow, now);
     }
 
     fn on_flow_start(&mut self, flow: usize, now: Instant) {
         self.flows[flow].started = true;
-        let ue = self.flows[flow].ue_idx;
-        let dir = self.flows[flow].dir;
-        match &mut self.flows[flow].endpoint {
-            Endpoint::Tcp { receiver, .. } => {
-                // The receiver opens the connection; for an uplink flow
-                // it lives at the server, so its SYN rides the downlink.
-                let syn = receiver.start(now);
-                match dir {
-                    FlowDir::Downlink => self.ues[ue].enqueue_uplink(syn, now),
-                    FlowDir::Uplink => self.route_dl_pkt(flow, syn, now),
-                }
-            }
-            Endpoint::Scream { .. } | Endpoint::UdpPrague { .. } | Endpoint::FecMedia { .. } => {
+        match self.flows[flow].transport.start(now) {
+            // The receiver opens the connection (a TCP SYN).
+            Some(syn) => self.send_feedback(flow, syn, now),
+            // A self-clocked sender polls right away.
+            None => {
                 self.sched(now, Event::FlowTimer { flow });
                 self.flows[flow].timer_at = now;
             }
@@ -2103,10 +1816,7 @@ impl World {
         let offer = app.on_tick(now);
         self.flows[flow].app = Some(app);
         if offer.bytes > 0 {
-            let accepted = match &mut self.flows[flow].endpoint {
-                Endpoint::Tcp { sender, .. } => sender.offer(offer.bytes),
-                _ => false,
-            };
+            let accepted = self.flows[flow].transport.offer(offer.bytes);
             // A sealed stream (FlowStop / close_app) refuses the offer:
             // these bytes — and their units — can never be sent, so an
             // application that ignores its stop() hook still quiesces.
@@ -2118,15 +1828,10 @@ impl World {
                 }
                 self.flows[flow].pending_units.extend(offer.units);
                 if self.flows[flow].started {
-                    let mut outs = std::mem::take(&mut self.scratch_pkts);
-                    if let Endpoint::Tcp { sender, .. } = &mut self.flows[flow].endpoint {
-                        sender.poll_into(now, &mut outs);
-                    }
-                    match self.flows[flow].dir {
-                        FlowDir::Downlink => self.route_dl(flow, &mut outs, now),
-                        FlowDir::Uplink => self.send_ul_data(flow, &mut outs, now),
-                    }
-                    self.scratch_pkts = outs;
+                    let mut out = std::mem::take(&mut self.scratch_tx);
+                    self.flows[flow].transport.poll(now, &mut out);
+                    self.send_released(flow, &mut out, now);
+                    self.scratch_tx = out;
                     self.reschedule_timer(flow, now);
                 }
             }
@@ -2202,9 +1907,7 @@ impl World {
             return;
         };
         if app.done() {
-            if let Endpoint::Tcp { sender, .. } = &mut self.flows[flow].endpoint {
-                sender.close_app();
-            }
+            self.flows[flow].transport.close_app();
         }
         let at = self.flows[flow]
             .app
@@ -2215,30 +1918,6 @@ impl World {
         if at < self.flows[flow].app_timer_at && at < Instant::MAX {
             self.flows[flow].app_timer_at = at;
             self.sched(at, Event::AppTick { flow });
-        }
-    }
-
-    /// Move freshly drained SCReAM frame marks into the flow's pending
-    /// table (ident of the frame's last packet → capture time).
-    fn register_frame_marks(&mut self, flow: usize) {
-        if self.mark_scratch.is_empty() {
-            return;
-        }
-        let mut scratch = std::mem::take(&mut self.mark_scratch);
-        for m in scratch.drain(..) {
-            self.flows[flow]
-                .frame_pending
-                .insert((m.wire_seq & 0xFFFF) as u16, m.created);
-        }
-        self.mark_scratch = scratch;
-    }
-
-    /// Register send times and push packets onto the WAN (and through
-    /// the wired bottleneck when configured). Drains `pkts` so callers
-    /// can reuse the buffer.
-    fn route_dl(&mut self, flow: usize, pkts: &mut Vec<PacketBuf>, now: Instant) {
-        for pkt in pkts.drain(..) {
-            self.route_dl_pkt(flow, pkt, now);
         }
     }
 
@@ -2302,26 +1981,20 @@ impl World {
     }
 
     /// A packet cleared the impairment pipeline: hand it to the rest of
-    /// the wired path (bottleneck router, or the CU hop directly). The
-    /// flow is recovered from the five-tuple exactly as the router's
-    /// drain does.
+    /// the wired path (bottleneck router, or the CU hop directly).
     fn impair_exit(&mut self, pkt: PacketBuf, now: Instant) {
-        if self.router.is_some() {
-            if let Some(r) = &mut self.router {
-                r.enqueue(pkt, now);
-            }
+        if let Some(r) = &mut self.router {
+            r.enqueue(pkt, now);
             self.drain_router(now);
-            return;
+        } else {
+            self.core_to_cu(pkt, now);
         }
-        let Some(tuple) = pkt.five_tuple() else { return };
-        let flow = match self.tuple_to_flow.get(&tuple) {
-            Some(&f) => Some(f),
-            None => match self.tuple_to_flow.get(&tuple.reversed()) {
-                Some(&f) if self.flows[f].dir == FlowDir::Uplink => Some(f),
-                _ => None,
-            },
-        };
-        if let Some(flow) = flow {
+    }
+
+    /// A packet leaves the wired path: it reaches the CU serving its
+    /// flow's UE after the core delay.
+    fn core_to_cu(&mut self, pkt: PacketBuf, now: Instant) {
+        if let Some(flow) = self.dl_flow_of(&pkt) {
             let cell = self.serving[self.flows[flow].ue_idx];
             let core = self.gnbs[cell].config().core_to_cu_delay;
             self.sched(now + core, Event::DlAtCu { flow, pkt });
@@ -2333,22 +2006,7 @@ impl World {
         let departed = r.poll(now);
         let next = r.next_departure();
         for pkt in departed {
-            if let Some(tuple) = pkt.five_tuple() {
-                // Direct hit = downlink data; reversed hit = an uplink
-                // flow's feedback heading down to the UE.
-                let flow = match self.tuple_to_flow.get(&tuple) {
-                    Some(&f) => Some(f),
-                    None => match self.tuple_to_flow.get(&tuple.reversed()) {
-                        Some(&f) if self.flows[f].dir == FlowDir::Uplink => Some(f),
-                        _ => None,
-                    },
-                };
-                if let Some(flow) = flow {
-                    let cell = self.serving[self.flows[flow].ue_idx];
-                    let core = self.gnbs[cell].config().core_to_cu_delay;
-                    self.sched(now + core, Event::DlAtCu { flow, pkt });
-                }
-            }
+            self.core_to_cu(pkt, now);
         }
         if let Some(d) = next {
             if d < self.router_poll_at {
@@ -2360,12 +2018,7 @@ impl World {
 
     fn reschedule_timer(&mut self, flow: usize, now: Instant) {
         let c0 = self.cycles.start();
-        let na = match &self.flows[flow].endpoint {
-            Endpoint::Tcp { sender, .. } => sender.next_activity(),
-            Endpoint::Scream { sender, .. } => Some(sender.next_activity()),
-            Endpoint::UdpPrague { sender, .. } => Some(sender.next_activity()),
-            Endpoint::FecMedia { sender, .. } => Some(sender.next_activity()),
-        };
+        let na = self.flows[flow].transport.next_activity();
         self.cycles.stop(c0, CYC_TRANSPORT);
         if let Some(at) = na {
             // Record the *clamped* instant: a past-due `next_activity`
@@ -2505,9 +2158,7 @@ impl World {
             | Event::FlowStop { flow }
             | Event::FlowTimer { flow }
             | Event::AppTick { flow } => of_ue(self.flows[*flow].ue_idx),
-            Event::UlStatusAtUe { ue, .. }
-            | Event::ChannelChange { ue, .. }
-            | Event::Handover { ue, .. } => of_ue(*ue),
+            Event::UlStatusAtUe { ue, .. } | Event::Handover { ue, .. } => of_ue(*ue),
             Event::AppDeliver { pkt, .. } => {
                 let flow = pkt.five_tuple().and_then(|t| {
                     self.tuple_to_flow
@@ -2826,8 +2477,8 @@ impl World {
         let mut rate_err = std::mem::take(&mut self.rate_err);
         rate_err.sort_by_key(|&(at, key, _)| (at, key));
         let rate_err_pct: Vec<f64> = rate_err.into_iter().map(|(_, _, v)| v).collect();
-        // Application QoE roll-up. The SCReAM media source lives inside
-        // its sender, so its generation counter is read back here;
+        // Application QoE roll-up. A transport's built-in media source
+        // (SCReAM) keeps its own generation counter, read back here;
         // app-driven flows counted on the world as frames were offered.
         // A frame that never completed by run end (in flight, lost in
         // UM, or discarded by the encoder) is a deadline miss and stalls
@@ -2837,8 +2488,8 @@ impl World {
         let mut frames_missed = vec![0u64; n];
         let mut stall_ms = vec![0.0f64; n];
         for (f, fl) in self.flows.iter().enumerate() {
-            if let Endpoint::Scream { sender, .. } = &fl.endpoint {
-                frames_generated[f] = sender.frames_generated;
+            if let Some(n) = fl.transport.frames_generated() {
+                frames_generated[f] = n;
             }
             let undelivered = frames_generated[f].saturating_sub(self.frames_delivered[f]);
             frames_missed[f] = self.frame_late_n[f] + undelivered;
@@ -2850,12 +2501,7 @@ impl World {
         // so the order is deterministic).
         let mut fallbacks = Vec::new();
         for (f, fl) in self.flows.iter_mut().enumerate() {
-            let evs = match &mut fl.endpoint {
-                Endpoint::Tcp { sender, .. } => sender.take_cc_events(),
-                Endpoint::UdpPrague { sender, .. } => sender.take_events(),
-                _ => Vec::new(),
-            };
-            for ev in evs {
+            for ev in fl.transport.take_cc_events() {
                 let CcEvent::ClassicFallback { at, reason } = ev;
                 fallbacks.push(FallbackRecord {
                     flow: f as u16,
@@ -2873,20 +2519,17 @@ impl World {
         let mut fec = Vec::new();
         let mut bonds = Vec::new();
         for (f, fl) in self.flows.iter_mut().enumerate() {
-            if let Endpoint::FecMedia { sender, receiver } = &mut fl.endpoint {
-                let offered = sender.codec().offered;
-                receiver.close(offered, end);
-                let rc = receiver.codec();
+            if let Some((tx, rx)) = fl.transport.close_fec(end) {
                 fec.push(FecStat {
                     flow: f as u16,
-                    offered,
-                    delivered: rc.delivered,
-                    repaired: rc.repaired,
-                    abandoned: rc.abandoned,
-                    duplicates: rc.duplicates,
-                    retx: sender.codec().retx,
-                    repairs: sender.codec().repairs,
-                    repairs_unused: rc.repairs_unused,
+                    offered: tx.offered,
+                    delivered: rx.delivered,
+                    repaired: rx.repaired,
+                    abandoned: rx.abandoned,
+                    duplicates: rx.duplicates,
+                    retx: tx.retx,
+                    repairs: tx.repairs,
+                    repairs_unused: rx.repairs_unused,
                 });
             }
             if let Some(b) = &fl.bond {
@@ -2959,6 +2602,31 @@ impl World {
             bonds,
         }
     }
+}
+
+/// Stand up flow `flow`'s uplink data bearer `drb` on UE `ue`: the
+/// UE-side PDCP/RLC transmit entities and its home cell's receive
+/// entities, in the DRB's configured mode. Returns whether that mode is
+/// RLC UM.
+fn add_ul_bearer(
+    cfg: &ScenarioConfig,
+    ues: &mut [UeStack],
+    gnbs: &mut [Gnb],
+    flow: usize,
+    ue: usize,
+    drb: u8,
+) -> bool {
+    let spec = &cfg.ues[ue];
+    let mode = spec
+        .drbs
+        .iter()
+        .find(|&&(d, _)| d == drb)
+        .map(|&(_, m)| m)
+        .unwrap_or_else(|| panic!("uplink flow {flow}: DRB {drb} not in UE {ue} spec"));
+    let cell = cfg.cell_config(spec.initial_cell);
+    ues[ue].configure_ul_drb(DrbId(drb), mode, cell.rlc_queue_sdus, cell.segment_overhead);
+    gnbs[spec.initial_cell].ensure_ul_drb(UeId(ue as u16), DrbId(drb), mode);
+    mode == RlcMode::Um
 }
 
 /// Swap the entries whose key matches `pred` between two BTree maps
@@ -3136,39 +2804,6 @@ mod tests {
         let r = World::new(cfg).run();
         assert!(r.handovers.is_empty());
         assert!(r.goodput_total_mbps(0) > 1.0);
-    }
-
-    #[test]
-    fn channel_events_shim_matches_equivalent_mobility_step() {
-        // The deprecated single-cell `channel_events` field and a
-        // MobilitySpec step naming the serving cell must produce
-        // byte-identical runs.
-        let base = |seed| {
-            congested_cell(
-                2,
-                "prague",
-                ChannelMix::Static,
-                16_384,
-                WanLink::east(),
-                l4span_default(),
-                seed,
-                Duration::from_secs(2),
-            )
-        };
-        let mut via_shim = base(9);
-        via_shim
-            .channel_events
-            .push((Instant::from_secs(1), 0, ChannelProfile::Vehicular, 9.0));
-        let mut via_dsl = base(9);
-        via_dsl.ues[0].mobility = vec![MobilityStep::new(
-            Instant::from_secs(1),
-            0,
-            ChannelProfile::Vehicular,
-            9.0,
-        )];
-        let a = World::new(via_shim).run();
-        let b = World::new(via_dsl).run();
-        assert_eq!(a.fingerprint(), b.fingerprint(), "shim ≡ DSL");
     }
 
     #[test]

@@ -120,8 +120,16 @@ fn ue_spec_simple_and_channel_events_run() {
     let mut cfg = scenario::ScenarioConfig::new(2, Duration::from_secs(1));
     cfg.marker = MarkerKind::L4Span(L4SpanConfig::default());
     cfg.measure_marker_time = true;
-    cfg.ues
-        .push(scenario::UeSpec::simple(ChannelProfile::Pedestrian, 26.0));
+    // A mobility step naming the serving cell is a channel change.
+    let dip = scenario::MobilityStep::new(
+        Instant::from_millis(500),
+        0,
+        ChannelProfile::Vehicular,
+        5.0,
+    );
+    cfg.ues.push(
+        scenario::UeSpec::simple(ChannelProfile::Pedestrian, 26.0).with_mobility(vec![dip]),
+    );
     cfg.flows.push(scenario::FlowSpec::new(
         0,
         l4span_harness::app::AppProfile::bulk(),
@@ -129,8 +137,6 @@ fn ue_spec_simple_and_channel_events_run() {
         WanLink::local(),
         Instant::ZERO,
     ));
-    cfg.channel_events
-        .push((Instant::from_millis(500), 0, ChannelProfile::Vehicular, 5.0));
     let r = one_second(cfg);
     delivered_something(&r);
 }
