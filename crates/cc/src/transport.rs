@@ -70,8 +70,12 @@ pub trait Transport: Send {
 
     /// A feedback packet reaches the sender. Releases what it unblocks
     /// and returns an RTT sample when the feedback produced one.
-    fn on_feedback(&mut self, pkt: &PacketBuf, now: Instant, out: &mut Released)
-        -> Option<Duration>;
+    fn on_feedback(
+        &mut self,
+        pkt: &PacketBuf,
+        now: Instant,
+        out: &mut Released,
+    ) -> Option<Duration>;
 
     /// A data packet reaches the receiver over bond leg `leg` (0 when
     /// unbonded). Returns the feedback packet it triggers, if any.

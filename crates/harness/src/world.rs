@@ -584,7 +584,7 @@ impl World {
                 finished_at: None,
                 dir: spec.dir,
                 sent_at: FxHashMap::default(),
-                    timer_at: Instant::MAX,
+                timer_at: Instant::MAX,
                 app,
                 app_timer_at: Instant::MAX,
                 pending_units: VecDeque::new(),

@@ -243,7 +243,11 @@ fn bonded_flow(transport: TransportSpec, app: AppProfile, uplink: bool) -> Scena
     cfg.ues.push(UeSpec::simple(ChannelProfile::Static, 24.0));
     cfg.ues
         .push(UeSpec::simple(ChannelProfile::Static, 24.0).on_cell(1));
-    let flow = if uplink { FlowSpec::uplink } else { FlowSpec::new };
+    let flow = if uplink {
+        FlowSpec::uplink
+    } else {
+        FlowSpec::new
+    };
     cfg.flows
         .push(flow(0, app, transport, WanLink::east(), Instant::ZERO).bonded(1));
     cfg

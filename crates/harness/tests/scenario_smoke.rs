@@ -121,15 +121,10 @@ fn ue_spec_simple_and_channel_events_run() {
     cfg.marker = MarkerKind::L4Span(L4SpanConfig::default());
     cfg.measure_marker_time = true;
     // A mobility step naming the serving cell is a channel change.
-    let dip = scenario::MobilityStep::new(
-        Instant::from_millis(500),
-        0,
-        ChannelProfile::Vehicular,
-        5.0,
-    );
-    cfg.ues.push(
-        scenario::UeSpec::simple(ChannelProfile::Pedestrian, 26.0).with_mobility(vec![dip]),
-    );
+    let dip =
+        scenario::MobilityStep::new(Instant::from_millis(500), 0, ChannelProfile::Vehicular, 5.0);
+    cfg.ues
+        .push(scenario::UeSpec::simple(ChannelProfile::Pedestrian, 26.0).with_mobility(vec![dip]));
     cfg.flows.push(scenario::FlowSpec::new(
         0,
         l4span_harness::app::AppProfile::bulk(),

@@ -94,14 +94,24 @@ fn corpus(cc: &str) -> Vec<(&'static str, scenario::ScenarioConfig)> {
 fn one_ue(transport: TransportSpec, uplink: bool) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::new(7, Duration::from_secs(2));
     cfg.marker = scenario::l4span_default();
-    cfg.ues.push(UeSpec::simple(ChannelProfile::Pedestrian, 24.0));
+    cfg.ues
+        .push(UeSpec::simple(ChannelProfile::Pedestrian, 24.0));
     let app = match transport {
         TransportSpec::Scream => AppProfile::video(25.0, 0.5e6, 2.0e6, 20.0e6),
         _ => AppProfile::bulk(),
     };
-    let flow = if uplink { FlowSpec::uplink } else { FlowSpec::new };
-    cfg.flows
-        .push(flow(0, app, transport, WanLink::east(), Instant::from_millis(3)));
+    let flow = if uplink {
+        FlowSpec::uplink
+    } else {
+        FlowSpec::new
+    };
+    cfg.flows.push(flow(
+        0,
+        app,
+        transport,
+        WanLink::east(),
+        Instant::from_millis(3),
+    ));
     cfg
 }
 
@@ -134,18 +144,38 @@ fn transport_corpus() -> Vec<(&'static str, &'static str, ScenarioConfig)> {
     };
     let udp_prague = || TransportSpec::udp_prague(6.25e4, 2.5e5, 2.5e6);
     vec![
-        ("scream_1ue", "downlink", one_ue(TransportSpec::scream(), false)),
-        ("scream_1ue", "uplink", one_ue(TransportSpec::scream(), true)),
+        (
+            "scream_1ue",
+            "downlink",
+            one_ue(TransportSpec::scream(), false),
+        ),
+        (
+            "scream_1ue",
+            "uplink",
+            one_ue(TransportSpec::scream(), true),
+        ),
         ("udp_prague_1ue", "downlink", one_ue(udp_prague(), false)),
         ("udp_prague_1ue", "uplink", one_ue(udp_prague(), true)),
-        ("xr_bonding_cell_4", "fec-media-bonded", xr("fec-media", true)),
+        (
+            "xr_bonding_cell_4",
+            "fec-media-bonded",
+            xr("fec-media", true),
+        ),
         ("xr_bonding_cell_4", "fec-media", xr("fec-media", false)),
         ("xr_bonding_cell_4", "nada", xr("nada", false)),
         ("xr_bonding_cell_4", "cubic-bonded", xr("cubic", true)),
-        ("impaired_path_cell_2ue", "prague-fallback", impaired("prague-fallback", 0.25)),
+        (
+            "impaired_path_cell_2ue",
+            "prague-fallback",
+            impaired("prague-fallback", 0.25),
+        ),
         ("impaired_path_cell_2ue", "cubic", impaired("cubic", 0.25)),
         // Full bleaching trips Prague's classic fallback in both flows.
-        ("impaired_path_cell_2ue", "prague-fallback-bleached", impaired("prague-fallback", 1.0)),
+        (
+            "impaired_path_cell_2ue",
+            "prague-fallback-bleached",
+            impaired("prague-fallback", 1.0),
+        ),
     ]
 }
 
