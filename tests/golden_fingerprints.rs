@@ -1,7 +1,12 @@
 //! Golden-fingerprint regression corpus.
 //!
-//! `tests/golden_fingerprints.toml` pins a 64-bit digest of
-//! [`Report::fingerprint`] for every canonical scenario × every
+//! `tests/golden_fingerprints.toml` pins two lines per entry: a 64-bit
+//! digest of [`Report::fingerprint`] with its `ev=` event-count field
+//! removed (`<cc> = "<digest>"`), and that event count on its own
+//! (`<cc>.ev = <count>`). A change that runs the same simulation in
+//! fewer events moves only `.ev` lines; any change to what the
+//! simulation computes moves a digest. Entries cover every canonical
+//! scenario × every
 //! congestion controller the paper evaluates, plus a transport corpus
 //! covering every endpoint kind and data path (SCReAM and UDP Prague
 //! both ways, FEC media bonded and single-leg, NADA, the bonded TCP
@@ -19,7 +24,8 @@
 //! ```
 //!
 //! and commit the rewritten TOML — the diff shows exactly which
-//! scenario × CC combinations moved.
+//! scenario × CC combinations moved, and whether only their event
+//! counts did.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -29,7 +35,7 @@ use l4span::core::HandoverPolicy;
 use l4span::cc::WanLink;
 use l4span::harness::app::AppProfile;
 use l4span::harness::scenario::{ChannelMix, FlowSpec, ScenarioConfig, TransportSpec};
-use l4span::harness::{self, scenario, ImpairmentSpec, UeSpec};
+use l4span::harness::{self, scenario, ImpairmentSpec, Report, UeSpec};
 use l4span::ran::ChannelProfile;
 use l4span::sim::{Duration, Instant};
 
@@ -183,9 +189,27 @@ fn toml_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden_fingerprints.toml")
 }
 
-/// Compute every digest: scenario name → cc (or variant) → digest. Runs the whole
-/// grid through the parallel batch runner (fingerprints are invariant
-/// to worker count — that is its contract, asserted in determinism.rs).
+/// Suffix of the key that pins an entry's event count.
+const EV: &str = ".ev";
+
+/// FNV-1a over [`Report::fingerprint`] with its `;ev=<count>` field
+/// removed, as 16 lowercase hex digits.
+fn digest_without_events(r: &Report) -> String {
+    let fp = r
+        .fingerprint()
+        .replacen(&format!(";ev={}", r.events), "", 1);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in fp.as_bytes() {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// Compute every entry: scenario name → cc (or variant) → digest, plus
+/// `<cc>.ev` → event count. Runs the whole grid through the parallel
+/// batch runner (fingerprints are invariant to worker count — that is
+/// its contract, asserted in determinism.rs).
 fn compute() -> BTreeMap<String, BTreeMap<String, String>> {
     let mut keys = Vec::new();
     let mut cfgs = Vec::new();
@@ -202,14 +226,17 @@ fn compute() -> BTreeMap<String, BTreeMap<String, String>> {
     let reports = harness::run_batch(cfgs);
     let mut out: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
     for ((name, cc), r) in keys.into_iter().zip(reports) {
-        out.entry(name).or_default().insert(cc, r.fingerprint_digest());
+        let entry = out.entry(name).or_default();
+        entry.insert(format!("{cc}{EV}"), r.events.to_string());
+        entry.insert(cc, digest_without_events(&r));
     }
     out
 }
 
 fn render(table: &BTreeMap<String, BTreeMap<String, String>>) -> String {
     let mut s = String::from(
-        "# Golden fingerprint digests (FNV-1a of Report::fingerprint()).\n\
+        "# Golden fingerprint digests (FNV-1a of Report::fingerprint() with\n\
+         # its ev= field removed) and, on the `.ev` line, the event count.\n\
          # One section per canonical scenario, one key per congestion\n\
          # controller. Regenerate intentionally with:\n\
          #   L4SPAN_BLESS=1 cargo test -q --test golden_fingerprints\n",
@@ -218,20 +245,24 @@ fn render(table: &BTreeMap<String, BTreeMap<String, String>>) -> String {
         let _ = write!(s, "\n[{name}]\n");
         // Emit in the paper's CC order, not alphabetical; other keys
         // (transport-corpus variants) follow in key order.
-        for cc in CCS {
-            if let Some(d) = ccs.get(cc) {
-                let _ = writeln!(s, "{cc} = \"{d}\"");
+        let others = ccs
+            .keys()
+            .filter(|k| !k.ends_with(EV) && !CCS.contains(&k.as_str()));
+        for key in CCS.iter().copied().chain(others.map(String::as_str)) {
+            if let Some(d) = ccs.get(key) {
+                let _ = writeln!(s, "{key} = \"{d}\"");
             }
-        }
-        for (key, d) in ccs.iter().filter(|(k, _)| !CCS.contains(&k.as_str())) {
-            let _ = writeln!(s, "{key} = \"{d}\"");
+            if let Some(ev) = ccs.get(&format!("{key}{EV}")) {
+                let _ = writeln!(s, "{key}{EV} = {ev}");
+            }
         }
     }
     s
 }
 
 /// Minimal parser for the exact file `render` writes (section headers
-/// plus `key = "value"` lines; `#` comments ignored).
+/// plus `key = "value"` and `key.ev = count` lines; `#` comments
+/// ignored).
 fn parse(text: &str) -> BTreeMap<String, BTreeMap<String, String>> {
     let mut out: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
     let mut section = String::new();
@@ -275,6 +306,9 @@ fn golden_fingerprints_match_the_blessed_corpus() {
         for (cc, digest) in ccs {
             match expected.get(name).and_then(|m| m.get(cc)) {
                 Some(want) if want == digest => {}
+                Some(want) if cc.ends_with(EV) => drift.push(format!(
+                    "{name}/{cc}: event count changed ({want} → {digest})"
+                )),
                 Some(want) => drift.push(format!(
                     "{name}/{cc}: fingerprint drifted ({want} → {digest})"
                 )),
@@ -307,9 +341,11 @@ fn corpus_round_trips_through_the_parser() {
             .or_default()
             .insert(cc.to_string(), format!("{i:016x}"));
     }
-    table
-        .entry("scenario_x".into())
-        .or_default()
-        .insert("fec-media-bonded".into(), format!("{:016x}", 99));
-    assert_eq!(parse(&render(&table)), table);
+    let x = table.entry("scenario_x".into()).or_default();
+    x.insert("fec-media-bonded".into(), format!("{:016x}", 99));
+    x.insert(format!("reno{EV}"), "14662".into());
+    x.insert(format!("fec-media-bonded{EV}"), "7".into());
+    let text = render(&table);
+    assert!(text.contains("reno.ev = 14662\n"), "{text}");
+    assert_eq!(parse(&text), table);
 }
