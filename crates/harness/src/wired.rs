@@ -10,7 +10,7 @@ use l4span_aqm::{DualPi2, Router, RouterAqm};
 use l4span_cc::tcp::TcpConfig;
 use l4span_cc::{CcKind, TcpReceiver, TcpSender};
 use l4span_net::PacketBuf;
-use l4span_sim::{Duration, EventQueue, Instant, SimRng};
+use l4span_sim::{Deadline, Duration, EventQueue, Instant, SimRng};
 
 use crate::metrics::Report;
 
@@ -44,7 +44,8 @@ struct WFlow {
     sender: TcpSender,
     receiver: TcpReceiver,
     sent_at: HashMap<u16, Instant>,
-    timer_at: Instant,
+    /// The sender's wakeup (`Timer`), under the [`Deadline`] rule.
+    timer: Deadline,
 }
 
 /// Run the wired scenario.
@@ -69,7 +70,7 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
             sender: TcpSender::new(tcfg, controller),
             receiver: TcpReceiver::new(tcfg, mode),
             sent_at: HashMap::new(),
-            timer_at: Instant::MAX,
+            timer: Deadline::DISARMED,
         });
         queue.schedule(*start, Event::Start { flow: f });
     }
@@ -79,7 +80,7 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
     let mut rtt_ms = vec![Vec::new(); n];
     let mut rtt_at_s = vec![Vec::new(); n];
     let mut thr_bins = vec![Vec::new(); n];
-    let mut router_poll_at = Instant::MAX;
+    let mut router_poll = Deadline::DISARMED;
     let end = Instant::ZERO + cfg.duration;
 
     // Helper closures are awkward with borrows; use a small macro-like fn.
@@ -119,14 +120,15 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
                     }
                 }
                 if let Some(d) = router.next_departure() {
-                    if d < router_poll_at {
-                        router_poll_at = d;
+                    if router_poll.arm(d) {
                         queue.schedule(d, Event::RouterPoll);
                     }
                 }
             }
             Event::RouterPoll => {
-                router_poll_at = Instant::MAX;
+                if !router_poll.fire(now) {
+                    continue;
+                }
                 let departed = router.poll(now);
                 for pkt in departed {
                     if let Some(&flow) =
@@ -136,8 +138,7 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
                     }
                 }
                 if let Some(d) = router.next_departure() {
-                    if d < router_poll_at {
-                        router_poll_at = d;
+                    if router_poll.arm(d) {
                         queue.schedule(d, Event::RouterPoll);
                     }
                 }
@@ -168,21 +169,21 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
                 }
                 route_dl(&mut queue, &mut flows, flow, outs, cfg.one_way, now);
                 let na = flows[flow].sender.next_activity();
-                if let Some(at) = na {
-                    if at < flows[flow].timer_at {
-                        flows[flow].timer_at = at;
-                        queue.schedule(at.max(now), Event::Timer { flow });
+                if let Some(at) = na.map(|at| at.max(now)) {
+                    if flows[flow].timer.arm(at) {
+                        queue.schedule(at, Event::Timer { flow });
                     }
                 }
             }
             Event::Timer { flow } => {
-                flows[flow].timer_at = Instant::MAX;
+                if !flows[flow].timer.fire(now) {
+                    continue;
+                }
                 let outs = flows[flow].sender.poll(now);
                 route_dl(&mut queue, &mut flows, flow, outs, cfg.one_way, now);
-                if let Some(at) = flows[flow].sender.next_activity() {
-                    if at < flows[flow].timer_at {
-                        flows[flow].timer_at = at;
-                        queue.schedule(at.max(now), Event::Timer { flow });
+                if let Some(at) = flows[flow].sender.next_activity().map(|at| at.max(now)) {
+                    if flows[flow].timer.arm(at) {
+                        queue.schedule(at, Event::Timer { flow });
                     }
                 }
             }

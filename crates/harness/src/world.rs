@@ -23,7 +23,7 @@ use l4span_ran::ids::Qfi;
 use l4span_ran::mac::TransportBlock;
 use l4span_ran::rlc::RlcStatus;
 use l4span_ran::{DlDataDeliveryStatus, DrbId, Gnb, SlotOutput, UeId, UeStack, UlTbOutcome};
-use l4span_sim::{CycleScope, Duration, EventQueue, FxHashMap, Instant, SimRng};
+use l4span_sim::{CycleScope, Deadline, Duration, EventQueue, FxHashMap, Instant, SimRng};
 
 use crate::app::{AppProfile, AppUnit, Application, UnitKind};
 use crate::bond::{BondJoin, BondTx, SbdDetector};
@@ -106,14 +106,17 @@ struct Flow {
     dir: FlowDir,
     /// ident → send time of *data-direction* packets (for OWD).
     sent_at: FxHashMap<u16, Instant>,
-    /// Earliest scheduled FlowTimer (dedupe).
-    timer_at: Instant,
+    /// The transport's wakeup. A `FlowTimer` acts only when it pops at
+    /// the armed instant; one superseded by an earlier re-arm is
+    /// dropped (see [`Deadline`]).
+    timer: Deadline,
     /// The driving [`Application`], for flows whose app is not executed
     /// natively by the transport (`None` = native lowering: greedy/sized
     /// TCP, SCReAM's built-in media source, UDP Prague pacing).
     app: Option<Box<dyn Application + Send>>,
-    /// Earliest scheduled AppTick (dedupe).
-    app_timer_at: Instant,
+    /// The application's wakeup: an `AppTick` acts only at the armed
+    /// instant, under the same rule as `timer`.
+    app_timer: Deadline,
     /// Byte-stream units (frames/requests) awaiting UE-side delivery,
     /// in stream order — completed against the TCP receiver's in-order
     /// watermark.
@@ -238,7 +241,8 @@ pub struct World {
     flows: Vec<Flow>,
     tuple_to_flow: FxHashMap<FiveTuple, usize>,
     router: Option<Router>,
-    router_poll_at: Instant,
+    /// The router's next-departure wakeup (`RouterPoll`).
+    router_poll: Deadline,
     /// Mid-path impairment pipeline (bleach/remark/drop stages and the
     /// RFC 3168 classic hop), applied ahead of the bottleneck router.
     /// `None` keeps the wired path byte-identical to the faithful one.
@@ -584,9 +588,9 @@ impl World {
                 finished_at: None,
                 dir: spec.dir,
                 sent_at: FxHashMap::default(),
-                timer_at: Instant::MAX,
+                timer: Deadline::DISARMED,
                 app,
-                app_timer_at: Instant::MAX,
+                app_timer: Deadline::DISARMED,
                 pending_units: VecDeque::new(),
                 frame_pending: FxHashMap::default(),
                 framed,
@@ -689,7 +693,7 @@ impl World {
             flows,
             tuple_to_flow,
             router,
-            router_poll_at: Instant::MAX,
+            router_poll: Deadline::DISARMED,
             impair,
             um_ues,
             flush_flows,
@@ -931,8 +935,10 @@ impl World {
                 self.cycles.stop(t0, CYC_WIRED);
             }
             Event::RouterPoll => {
+                if !self.router_poll.fire(now) {
+                    return;
+                }
                 let t0 = self.cycles.start();
-                self.router_poll_at = Instant::MAX;
                 self.drain_router(now);
                 self.cycles.stop(t0, CYC_WIRED);
             }
@@ -1003,8 +1009,7 @@ impl World {
                 self.flows[flow].transport.stop();
             }
             Event::FlowTimer { flow } => {
-                self.flows[flow].timer_at = Instant::MAX;
-                if !self.flows[flow].started {
+                if !self.flows[flow].timer.fire(now) || !self.flows[flow].started {
                     return;
                 }
                 let mut out = std::mem::take(&mut self.scratch_tx);
@@ -1792,8 +1797,9 @@ impl World {
             Some(syn) => self.send_feedback(flow, syn, now),
             // A self-clocked sender polls right away.
             None => {
-                self.sched(now, Event::FlowTimer { flow });
-                self.flows[flow].timer_at = now;
+                if self.flows[flow].timer.arm(now) {
+                    self.sched(now, Event::FlowTimer { flow });
+                }
             }
         }
         // Application-driven flows: arm the app's own clock.
@@ -1809,7 +1815,9 @@ impl World {
     /// Fire the flow's application clock: collect its offer, feed the
     /// transport, and re-arm.
     fn on_app_tick(&mut self, flow: usize, now: Instant) {
-        self.flows[flow].app_timer_at = Instant::MAX;
+        if !self.flows[flow].app_timer.fire(now) {
+            return;
+        }
         let Some(mut app) = self.flows[flow].app.take() else {
             return;
         };
@@ -1915,8 +1923,7 @@ impl World {
             .expect("checked above")
             .next_activity()
             .max(now);
-        if at < self.flows[flow].app_timer_at && at < Instant::MAX {
-            self.flows[flow].app_timer_at = at;
+        if self.flows[flow].app_timer.arm(at) {
             self.sched(at, Event::AppTick { flow });
         }
     }
@@ -2009,8 +2016,7 @@ impl World {
             self.core_to_cu(pkt, now);
         }
         if let Some(d) = next {
-            if d < self.router_poll_at {
-                self.router_poll_at = d;
+            if self.router_poll.arm(d) {
                 self.sched(d, Event::RouterPoll);
             }
         }
@@ -2021,14 +2027,11 @@ impl World {
         let na = self.flows[flow].transport.next_activity();
         self.cycles.stop(c0, CYC_TRANSPORT);
         if let Some(at) = na {
-            // Record the *clamped* instant: a past-due `next_activity`
-            // fires at `now`, and bookkeeping an earlier time would
-            // suppress legitimate reschedules until that phantom instant
-            // passed (and conversely let duplicate timers pile up).
-            let at_eff = at.max(now);
-            if at_eff < self.flows[flow].timer_at && at < Instant::MAX {
-                self.flows[flow].timer_at = at_eff;
-                self.sched(at_eff, Event::FlowTimer { flow });
+            // Arm the *clamped* instant: a past-due `next_activity` is
+            // scheduled at `now`, and only the instant it pops at fires.
+            let at = at.max(now);
+            if self.flows[flow].timer.arm(at) {
+                self.sched(at, Event::FlowTimer { flow });
             }
         }
     }
@@ -2684,6 +2687,7 @@ mod tests {
     use crate::scenario::{
         congested_cell, handover_cell, l4span_default, ChannelMix, MobilityStep,
     };
+    use l4span_cc::fec::{FecReceiverCore, FecSenderCore};
     use l4span_cc::WanLink;
     use l4span_core::HandoverPolicy;
 
@@ -2939,5 +2943,122 @@ mod tests {
         );
         let thr: f64 = (0..2).map(|f| r.goodput_total_mbps(f)).sum();
         assert!(thr > 5.0, "cell should still be well used: {thr}");
+    }
+
+    /// Logs the instants the harness polls the wrapped transport at and
+    /// forwards every call unchanged.
+    struct PollLog {
+        inner: Box<dyn Transport>,
+        polls: std::sync::Arc<std::sync::Mutex<Vec<Instant>>>,
+    }
+
+    impl Transport for PollLog {
+        fn start(&mut self, now: Instant) -> Option<PacketBuf> {
+            self.inner.start(now)
+        }
+        fn stop(&mut self) {
+            self.inner.stop()
+        }
+        fn poll(&mut self, now: Instant, out: &mut Released) {
+            self.polls.lock().expect("poll log").push(now);
+            self.inner.poll(now, out)
+        }
+        fn next_activity(&self) -> Option<Instant> {
+            self.inner.next_activity()
+        }
+        fn on_feedback(
+            &mut self,
+            pkt: &PacketBuf,
+            now: Instant,
+            out: &mut Released,
+        ) -> Option<Duration> {
+            self.inner.on_feedback(pkt, now, out)
+        }
+        fn on_data(&mut self, pkt: &PacketBuf, leg: u8, now: Instant) -> Option<PacketBuf> {
+            self.inner.on_data(pkt, leg, now)
+        }
+        fn flushes_feedback(&self) -> bool {
+            self.inner.flushes_feedback()
+        }
+        fn poll_feedback(&mut self, now: Instant) -> Option<PacketBuf> {
+            self.inner.poll_feedback(now)
+        }
+        fn stream_watermark(&self) -> Option<u64> {
+            self.inner.stream_watermark()
+        }
+        fn finished(&self) -> bool {
+            self.inner.finished()
+        }
+        fn rate_estimate_bps(&self) -> Option<f64> {
+            self.inner.rate_estimate_bps()
+        }
+        fn offer(&mut self, bytes: u64) -> bool {
+            self.inner.offer(bytes)
+        }
+        fn close_app(&mut self) {
+            self.inner.close_app()
+        }
+        fn frames_generated(&self) -> Option<u64> {
+            self.inner.frames_generated()
+        }
+        fn set_coupled(&mut self, coupled: bool) {
+            self.inner.set_coupled(coupled)
+        }
+        fn bonding(&self) -> Bonding {
+            self.inner.bonding()
+        }
+        fn take_cc_events(&mut self) -> Vec<CcEvent> {
+            self.inner.take_cc_events()
+        }
+        fn close_fec(&mut self, end: Instant) -> Option<(&FecSenderCore, &FecReceiverCore)> {
+            self.inner.close_fec(end)
+        }
+    }
+
+    /// Greedy TCP flows are polled only by their `FlowTimer`, so two
+    /// polls of one flow at one instant are a timer firing twice: a
+    /// superseded wakeup that acted instead of being dropped (and then
+    /// re-armed a duplicate chain).
+    #[test]
+    fn superseded_flow_timers_never_fire() {
+        let mut cfg = congested_cell(
+            2,
+            "prague",
+            ChannelMix::Mobile,
+            16_384,
+            WanLink::east(),
+            l4span_default(),
+            7,
+            Duration::from_secs(6),
+        );
+        cfg.flows[1].transport = TransportSpec::tcp(l4span_cc::CcKind::Cubic);
+        let end = Instant::ZERO + cfg.duration;
+        let mut w = World::new(cfg.clone());
+        // An identical world supplies identical transports to wrap.
+        let logs: Vec<_> = World::new(cfg)
+            .flows
+            .into_iter()
+            .zip(&mut w.flows)
+            .map(|(spare, flow)| {
+                let polls = std::sync::Arc::default();
+                flow.transport = Box::new(PollLog {
+                    inner: spare.transport,
+                    polls: std::sync::Arc::clone(&polls),
+                });
+                polls
+            })
+            .collect();
+        w.run_until(Instant::MAX, end);
+        for (f, log) in logs.iter().enumerate() {
+            let polls = log.lock().expect("poll log");
+            assert!(polls.len() > 1_000, "flow {f}: only {} polls", polls.len());
+            let repeats = polls.windows(2).filter(|p| p[0] == p[1]).count();
+            assert_eq!(
+                repeats,
+                0,
+                "flow {f}: {repeats} of {} FlowTimer firings repeat an instant",
+                polls.len()
+            );
+        }
     }
 }

@@ -10,6 +10,8 @@
 //! * [`queue`] — a deterministic, stable [`EventQueue`]: events scheduled
 //!   for the same instant fire in insertion order, which keeps whole-system
 //!   runs bit-for-bit reproducible.
+//! * [`deadline`] — the armed-[`Deadline`] rule every self-rescheduling
+//!   wakeup follows, so a superseded wakeup is dropped when it pops.
 //! * [`rng`] — a seedable deterministic random source ([`SimRng`]) with the
 //!   distributions the channel models and AQMs need (uniform, Bernoulli,
 //!   Gaussian, exponential).
@@ -32,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod cycles;
+pub mod deadline;
 pub mod fastmath;
 pub mod hash;
 pub mod queue;
@@ -40,6 +43,7 @@ pub mod stats;
 pub mod time;
 
 pub use cycles::{CycleScope, CycleStat};
+pub use deadline::Deadline;
 pub use hash::{FxHashMap, FxHashSet};
 pub use queue::EventQueue;
 pub use rng::SimRng;
