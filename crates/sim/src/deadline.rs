@@ -24,12 +24,6 @@ use crate::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deadline(Instant);
 
-impl Default for Deadline {
-    fn default() -> Self {
-        Deadline::DISARMED
-    }
-}
-
 impl Deadline {
     /// No wakeup pending.
     pub const DISARMED: Deadline = Deadline(Instant::MAX);
@@ -70,7 +64,7 @@ mod tests {
 
     #[test]
     fn arming_later_is_a_no_op() {
-        let mut d = Deadline::default();
+        let mut d = Deadline::DISARMED;
         assert!(d.arm(t(10)));
         assert!(!d.arm(t(20)), "a later instant must not schedule");
         assert!(!d.arm(t(10)), "the armed instant itself must not schedule");
@@ -80,7 +74,7 @@ mod tests {
 
     #[test]
     fn arming_earlier_re_arms_and_supersedes() {
-        let mut d = Deadline::default();
+        let mut d = Deadline::DISARMED;
         assert!(d.arm(t(10)));
         assert!(d.arm(t(5)), "an earlier instant must schedule");
         assert!(d.fire(t(5)));
@@ -92,7 +86,7 @@ mod tests {
 
     #[test]
     fn superseded_fire_keeps_the_armed_instant() {
-        let mut d = Deadline::default();
+        let mut d = Deadline::DISARMED;
         assert!(d.arm(t(10)));
         assert!(d.arm(t(5)));
         assert!(d.fire(t(5)));
@@ -104,7 +98,7 @@ mod tests {
 
     #[test]
     fn same_instant_re_arm_fires_once_per_arm() {
-        let mut d = Deadline::default();
+        let mut d = Deadline::DISARMED;
         assert!(d.arm(t(10)));
         // Two wakeups queued at 10 ms (one left behind by an earlier
         // re-arm): the first fires, and a handler that re-arms at the
@@ -117,7 +111,7 @@ mod tests {
 
     #[test]
     fn max_never_arms() {
-        let mut d = Deadline::default();
+        let mut d = Deadline::DISARMED;
         assert!(!d.arm(Instant::MAX));
         assert_eq!(d, Deadline::DISARMED);
     }
